@@ -505,35 +505,6 @@ cost::Dist degenerate_dist(std::uint64_t salt) {
   return dist;
 }
 
-/// Bitwise comparison of two sequential exchange traces.
-bool same_exchange_trace(const dist::RunResult& lhs,
-                         const dist::RunResult& rhs) {
-  if (lhs.exchange_trace.size() != rhs.exchange_trace.size()) return false;
-  for (std::size_t x = 0; x < lhs.exchange_trace.size(); ++x) {
-    const dist::ExchangeTracePoint& a = lhs.exchange_trace[x];
-    const dist::ExchangeTracePoint& b = rhs.exchange_trace[x];
-    if (a.makespan != b.makespan || a.changed != b.changed ||
-        a.migrations != b.migrations) {
-      return false;
-    }
-  }
-  return lhs.makespan_trace == rhs.makespan_trace;
-}
-
-bool same_epoch_trace(const dist::ParallelRunResult& lhs,
-                      const dist::ParallelRunResult& rhs) {
-  if (lhs.epoch_trace.size() != rhs.epoch_trace.size()) return false;
-  for (std::size_t x = 0; x < lhs.epoch_trace.size(); ++x) {
-    const dist::EpochTracePoint& a = lhs.epoch_trace[x];
-    const dist::EpochTracePoint& b = rhs.epoch_trace[x];
-    if (a.makespan != b.makespan || a.sessions != b.sessions ||
-        a.migrations != b.migrations) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 void check_zero_variance_equivalence(const Instance& instance,
@@ -589,7 +560,8 @@ void check_zero_variance_equivalence(const Instance& instance,
                     risk_run.to_json().dump() + " vs " +
                     mean_run.to_json().dump());
   }
-  if (!same_exchange_trace(risk_run, mean_run)) {
+  if (risk_run.exchange_trace != mean_run.exchange_trace ||
+      risk_run.makespan_trace != mean_run.makespan_trace) {
     report.fail("zero_variance.trace",
                 "exchange trace bytes differ under an all-degenerate model");
   }
@@ -597,8 +569,7 @@ void check_zero_variance_equivalence(const Instance& instance,
   // Parallel engine, null pool: bitwise identical to any thread count by
   // the engine's plan/execute/commit contract, so this covers them all.
   dist::ParallelEngineOptions par_options;
-  par_options.max_exchanges = 12 * instance.num_machines();
-  par_options.record_trace = true;
+  static_cast<dist::ExchangeOptions&>(par_options) = options;
 
   Schedule par_mean(baseline, initial);
   const dist::ParallelExchangeEngine par_mean_engine(mean_kernel,
@@ -614,7 +585,7 @@ void check_zero_variance_equivalence(const Instance& instance,
 
   if (par_risk.fingerprint() != par_mean.fingerprint() ||
       par_risk_run.to_json().dump() != par_mean_run.to_json().dump() ||
-      !same_epoch_trace(par_risk_run, par_mean_run)) {
+      par_risk_run.epoch_trace != par_mean_run.epoch_trace) {
     report.fail("zero_variance.parallel",
                 "parallel-engine run diverged under an all-degenerate model");
   }
@@ -874,16 +845,9 @@ void check_open_closed_equivalence(const Instance& instance,
   const auto base_json = [](const dist::RunReport& run) {
     return run.to_json().dump();
   };
-  bool seq_trace_same =
+  const bool seq_trace_same =
       actual.makespan_trace == expected.makespan_trace &&
-      actual.exchange_trace.size() == expected.exchange_trace.size();
-  for (std::size_t x = 0; seq_trace_same && x < actual.exchange_trace.size();
-       ++x) {
-    const dist::ExchangeTracePoint& a = actual.exchange_trace[x];
-    const dist::ExchangeTracePoint& b = expected.exchange_trace[x];
-    seq_trace_same = a.makespan == b.makespan && a.changed == b.changed &&
-                     a.migrations == b.migrations;
-  }
+      actual.exchange_trace == expected.exchange_trace;
   if (delegated.fingerprint() != reference.fingerprint() ||
       base_json(actual) != base_json(expected) || !seq_trace_same) {
     report.fail("open.closed_equivalence_seq",
@@ -894,8 +858,7 @@ void check_open_closed_equivalence(const Instance& instance,
   // Parallel leg, *trivial* (non-null) plan: the other half of the
   // delegation predicate.
   dist::ParallelEngineOptions par_options;
-  par_options.max_exchanges = budget;
-  par_options.record_trace = true;
+  static_cast<dist::ExchangeOptions&>(par_options) = seq_options;
   Schedule par_reference(instance, initial);
   const dist::ParallelExchangeEngine par_inner(kernel, selector);
   const dist::ParallelRunResult par_expected =
@@ -911,15 +874,8 @@ void check_open_closed_equivalence(const Instance& instance,
   const dist::OpenRunReport par_actual =
       open_engine.run(par_delegated, par_open_options, salt);
 
-  bool par_trace_same =
-      par_actual.epoch_trace.size() == par_expected.epoch_trace.size();
-  for (std::size_t x = 0;
-       par_trace_same && x < par_actual.epoch_trace.size(); ++x) {
-    const dist::EpochTracePoint& a = par_actual.epoch_trace[x];
-    const dist::EpochTracePoint& b = par_expected.epoch_trace[x];
-    par_trace_same = a.makespan == b.makespan && a.sessions == b.sessions &&
-                     a.migrations == b.migrations;
-  }
+  const bool par_trace_same =
+      par_actual.epoch_trace == par_expected.epoch_trace;
   if (par_delegated.fingerprint() != par_reference.fingerprint() ||
       base_json(par_actual) != base_json(par_expected) || !par_trace_same) {
     report.fail("open.closed_equivalence_parallel",

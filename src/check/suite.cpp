@@ -187,8 +187,7 @@ void check_churn(const Instance& instance, const Assignment& initial,
   // same plan (null pool: bitwise identical to any thread count).
   const dist::ParallelExchangeEngine parallel(kernel, selector);
   dist::ParallelEngineOptions par_options;
-  par_options.max_exchanges = 16 * instance.num_machines();
-  par_options.churn = &plan;
+  static_cast<dist::ExchangeOptions&>(par_options) = options;
   Schedule par_schedule(instance, initial);
   const dist::ParallelRunResult par_result =
       parallel.run(par_schedule, par_options, churn_seed);

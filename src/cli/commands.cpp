@@ -415,96 +415,80 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
     return 0;
   };
 
-  const auto write_trace = [&](const char* kind, const char* detail_col,
-                               const auto& rows) -> int {
-    std::ofstream trace(trace_path);
-    if (!trace) {
-      err << "dlbsim: cannot write " << trace_path << "\n";
-      return 1;
+  // Everything after the run is shared; the parallel engine adds its
+  // epoch line and writes a per-epoch trace.
+  const auto finish = [&](const std::string& engine_note,
+                          const dist::ExchangeReport& result,
+                          const std::string& extra, const char* kind,
+                          const char* detail_col, const auto& rows) -> int {
+    out << "algorithm       : " << alg << engine_note << "\n";
+    describe_elasticity();
+    result.print(out);
+    out << "effective       : " << result.changed_exchanges << "\n"
+        << extra << "LB              : " << lb << "\n"
+        << "final factor    : " << result.final_makespan / lb << "\n";
+    if (!trace_path.empty()) {
+      std::ofstream trace(trace_path);
+      if (!trace) {
+        err << "dlbsim: cannot write " << trace_path << "\n";
+        return 1;
+      }
+      stats::CsvWriter csv(trace);
+      // The first two columns are the original format; the detail column
+      // and `migrations` (cumulative job moves) are appended so old
+      // scripts keep parsing and Figure 4/5-style analyses get the per-row
+      // detail. The parallel engine only has epoch-granular state, so its
+      // trace is per epoch with the session count in place of `changed`.
+      csv.header({kind, "makespan", detail_col, "migrations"});
+      for (std::size_t x = 0; x < rows.size(); ++x) {
+        csv.row({stats::CsvWriter::num(x + 1),
+                 stats::CsvWriter::num(rows[x].makespan),
+                 row_detail(rows[x]),
+                 stats::CsvWriter::num(
+                     static_cast<std::size_t>(rows[x].migrations))});
+      }
+      out << "trace written   : " << trace_path << " (" << rows.size()
+          << " rows)\n";
     }
-    stats::CsvWriter csv(trace);
-    // The first two columns are the original format; the detail column and
-    // `migrations` (cumulative job moves) are appended so old scripts keep
-    // parsing and Figure 4/5-style analyses get the per-row detail. The
-    // parallel engine only has epoch-granular state, so its trace is per
-    // epoch with the session count in place of `changed`.
-    csv.header({kind, "makespan", detail_col, "migrations"});
-    for (std::size_t x = 0; x < rows.size(); ++x) {
-      csv.row({stats::CsvWriter::num(x + 1),
-               stats::CsvWriter::num(rows[x].makespan), row_detail(rows[x]),
-               stats::CsvWriter::num(
-                   static_cast<std::size_t>(rows[x].migrations))});
-    }
-    out << "trace written   : " << trace_path << " (" << rows.size()
-        << " rows)\n";
-    return 0;
+    if (const int rc = write_snapshot()) return rc;
+    return obs_files.write(out, err);
   };
+
+  dist::ExchangeOptions shared;
+  shared.max_exchanges = instance.num_machines() * per_machine;
+  shared.record_trace = !trace_path.empty();
+  if (obs_files.enabled()) shared.obs = &obs_files.context;
+  if (churn_plan.has_value()) shared.churn = &*churn_plan;
+  if (resume_from.has_value()) shared.resume = &*resume_from;
+  if (checkpoint_every != 0) {
+    shared.checkpoint_every = checkpoint_every;
+    shared.checkpoint_out = &snapshot;
+  }
 
   if (engine_kind == "parallel") {
     dist::ParallelEngineOptions options;
-    options.max_exchanges = instance.num_machines() * per_machine;
-    options.record_trace = !trace_path.empty();
-    if (obs_files.enabled()) options.obs = &obs_files.context;
-    if (churn_plan.has_value()) options.churn = &*churn_plan;
-    if (resume_from.has_value()) options.resume = &*resume_from;
-    if (checkpoint_every != 0) {
-      options.checkpoint_every = checkpoint_every;
-      options.checkpoint_out = &snapshot;
-    }
+    static_cast<dist::ExchangeOptions&>(options) = shared;
     parallel::ThreadPool pool(threads);
     options.pool = &pool;
     const dist::ParallelExchangeEngine engine(kernel, selector);
     const dist::ParallelRunResult result =
         engine.run(schedule, options, seed + 1);
-
-    out << "algorithm       : " << alg << " (parallel, "
-        << pool.num_threads() << " threads)\n";
-    describe_elasticity();
-    result.print(out);
-    out << "effective       : " << result.changed_exchanges << "\n"
-        << "epochs          : " << result.epochs << " ("
-        << result.conflicts << " conflicts, " << result.peer_retries
-        << " peer retries)\n"
-        << "LB              : " << lb << "\n"
-        << "final factor    : " << result.final_makespan / lb << "\n";
-    if (!trace_path.empty()) {
-      if (const int rc =
-              write_trace("epoch", "sessions", result.epoch_trace)) {
-        return rc;
-      }
-    }
-    if (const int rc = write_snapshot()) return rc;
-    return obs_files.write(out, err);
+    return finish(" (parallel, " + std::to_string(pool.num_threads()) +
+                      " threads)",
+                  result,
+                  "epochs          : " + std::to_string(result.epochs) +
+                      " (" + std::to_string(result.conflicts) +
+                      " conflicts, " + std::to_string(result.peer_retries) +
+                      " peer retries)\n",
+                  "epoch", "sessions", result.epoch_trace);
   }
 
   dist::EngineOptions options;
-  options.max_exchanges = instance.num_machines() * per_machine;
-  options.record_trace = !trace_path.empty();
-  if (obs_files.enabled()) options.obs = &obs_files.context;
-  if (churn_plan.has_value()) options.churn = &*churn_plan;
-  if (resume_from.has_value()) options.resume = &*resume_from;
-  if (checkpoint_every != 0) {
-    options.checkpoint_every = checkpoint_every;
-    options.checkpoint_out = &snapshot;
-  }
+  static_cast<dist::ExchangeOptions&>(options) = shared;
   stats::Rng rng(seed + 1);
   const dist::ExchangeEngine engine(kernel, selector);
   const dist::RunResult result = engine.run(schedule, options, rng);
-
-  out << "algorithm       : " << alg << "\n";
-  describe_elasticity();
-  result.print(out);
-  out << "effective       : " << result.changed_exchanges << "\n"
-      << "LB              : " << lb << "\n"
-      << "final factor    : " << result.final_makespan / lb << "\n";
-  if (!trace_path.empty()) {
-    if (const int rc =
-            write_trace("exchange", "changed", result.exchange_trace)) {
-      return rc;
-    }
-  }
-  if (const int rc = write_snapshot()) return rc;
-  return obs_files.write(out, err);
+  return finish("", result, "", "exchange", "changed", result.exchange_trace);
 }
 
 // ----- serve -----

@@ -1,54 +1,17 @@
 #include "dist/checkpoint.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <fstream>
 #include <initializer_list>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/assignment.hpp"
+#include "dist/record_io.hpp"
 
 namespace dlb::dist {
-
-namespace {
-
-[[noreturn]] void parse_error(const std::string& why) {
-  throw std::runtime_error("Checkpoint::load: " + why);
-}
-
-/// Doubles travel as their bit patterns: formatted decimal round-trips are
-/// not guaranteed to be exact, bit patterns are.
-std::uint64_t bits_of(double v) noexcept {
-  return std::bit_cast<std::uint64_t>(v);
-}
-double double_of(std::uint64_t bits) noexcept {
-  return std::bit_cast<double>(bits);
-}
-
-void expect_key(std::istream& in, const char* key) {
-  std::string token;
-  if (!(in >> token) || token != key) {
-    parse_error(std::string("expected \"") + key + "\" (got \"" + token +
-                "\")");
-  }
-}
-
-template <typename T>
-T read_value(std::istream& in, const char* key) {
-  expect_key(in, key);
-  T value{};
-  if (!(in >> value)) parse_error(std::string("bad value for ") + key);
-  return value;
-}
-
-const char* engine_name(Checkpoint::Engine engine) noexcept {
-  return engine == Checkpoint::Engine::kSequential ? "seq" : "parallel";
-}
-
-}  // namespace
 
 Schedule Checkpoint::make_schedule(const Instance& instance) const {
   if (instance.num_machines() != num_machines ||
@@ -71,7 +34,8 @@ Schedule Checkpoint::make_schedule(const Instance& instance) const {
 
 void Checkpoint::save(std::ostream& out) const {
   out << "dlb-checkpoint v1\n";
-  out << "engine " << engine_name(engine) << "\n";
+  out << "engine " << (engine == Engine::kSequential ? "seq" : "parallel")
+      << "\n";
   out << "seed " << seed << "\n";
   out << "machines " << num_machines << " jobs " << num_jobs << "\n";
   out << "rng " << rng_state[0] << ' ' << rng_state[1] << ' ' << rng_state[2]
@@ -81,39 +45,14 @@ void Checkpoint::save(std::ostream& out) const {
       << " migrations " << migrations << "\n";
   out << "conflicts " << conflicts << " peer_retries " << peer_retries
       << "\n";
-  out << "initial_makespan " << bits_of(initial_makespan)
-      << " best_makespan " << bits_of(best_makespan) << "\n";
-  out << "order " << order.size() << "\n";
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    out << (k == 0 ? "" : " ") << order[k];
-  }
-  if (!order.empty()) out << "\n";
-  out << "live " << live.size() << "\n";
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    out << (i == 0 ? "" : " ") << static_cast<int>(live[i]);
-  }
-  if (!live.empty()) out << "\n";
-  out << "assignment " << assignment.size() << "\n";
-  for (std::size_t j = 0; j < assignment.size(); ++j) {
-    if (j != 0) out << ' ';
-    if (assignment[j] == kUnassigned) {
-      out << '-';
-    } else {
-      out << assignment[j];
-    }
-  }
-  if (!assignment.empty()) out << "\n";
-  out << "loads " << loads.size() << "\n";
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    out << (i == 0 ? "" : " ") << bits_of(loads[i]);
-  }
-  if (!loads.empty()) out << "\n";
+  out << "initial_makespan " << record::bits_of(initial_makespan)
+      << " best_makespan " << record::bits_of(best_makespan) << "\n";
+  record::write_row(out, "order", order);
+  record::write_row(out, "live", live);
+  record::write_row(out, "assignment", assignment, kUnassigned);
+  record::write_row(out, "loads", loads);
   out << "churn_cursor " << churn_cursor << "\n";
-  out << "churn_queue " << churn_queue.size() << "\n";
-  for (std::size_t k = 0; k < churn_queue.size(); ++k) {
-    out << (k == 0 ? "" : " ") << churn_queue[k];
-  }
-  if (!churn_queue.empty()) out << "\n";
+  record::write_row(out, "churn_queue", churn_queue);
   out << "churn_counters " << churn.joins << ' ' << churn.drains << ' '
       << churn.crashes << ' ' << churn.orphaned << ' ' << churn.redispatched
       << "\n";
@@ -124,91 +63,59 @@ void Checkpoint::save(std::ostream& out) const {
 }
 
 Checkpoint Checkpoint::load(std::istream& in) {
-  std::string magic;
-  std::string version;
-  if (!(in >> magic >> version) || magic != "dlb-checkpoint" ||
-      version != "v1") {
-    parse_error("expected header \"dlb-checkpoint v1\"");
-  }
+  record::Reader r(in, "Checkpoint::load");
+  r.header("dlb-checkpoint");
   Checkpoint ck;
-  const auto kind = read_value<std::string>(in, "engine");
+  const auto kind = r.value<std::string>("engine");
   if (kind == "seq") {
     ck.engine = Engine::kSequential;
   } else if (kind == "parallel") {
     ck.engine = Engine::kParallel;
   } else {
-    parse_error("unknown engine kind \"" + kind + "\"");
+    r.fail("unknown engine kind \"" + kind + "\"");
   }
-  ck.seed = read_value<std::uint64_t>(in, "seed");
-  ck.num_machines = read_value<std::size_t>(in, "machines");
-  ck.num_jobs = read_value<std::size_t>(in, "jobs");
-  expect_key(in, "rng");
-  for (auto& word : ck.rng_state) {
-    if (!(in >> word)) parse_error("truncated rng state");
-  }
-  ck.epochs = read_value<std::uint64_t>(in, "epochs");
-  ck.next_session = read_value<std::uint64_t>(in, "next_session");
-  ck.exchanges = read_value<std::uint64_t>(in, "exchanges");
-  ck.changed_exchanges = read_value<std::uint64_t>(in, "changed");
-  ck.migrations = read_value<std::uint64_t>(in, "migrations");
-  ck.conflicts = read_value<std::uint64_t>(in, "conflicts");
-  ck.peer_retries = read_value<std::uint64_t>(in, "peer_retries");
-  ck.initial_makespan =
-      double_of(read_value<std::uint64_t>(in, "initial_makespan"));
-  ck.best_makespan =
-      double_of(read_value<std::uint64_t>(in, "best_makespan"));
+  ck.seed = r.value<std::uint64_t>("seed");
+  ck.num_machines = r.value<std::size_t>("machines");
+  ck.num_jobs = r.value<std::size_t>("jobs");
+  r.words("rng", ck.rng_state);
+  ck.epochs = r.value<std::uint64_t>("epochs");
+  ck.next_session = r.value<std::uint64_t>("next_session");
+  ck.exchanges = r.value<std::uint64_t>("exchanges");
+  ck.changed_exchanges = r.value<std::uint64_t>("changed");
+  ck.migrations = r.value<std::uint64_t>("migrations");
+  ck.conflicts = r.value<std::uint64_t>("conflicts");
+  ck.peer_retries = r.value<std::uint64_t>("peer_retries");
+  ck.initial_makespan = r.bits_value("initial_makespan");
+  ck.best_makespan = r.bits_value("best_makespan");
 
-  const auto order_size = read_value<std::size_t>(in, "order");
-  ck.order.resize(order_size);
-  for (auto& machine : ck.order) {
-    if (!(in >> machine)) parse_error("truncated order permutation");
-  }
-  const auto live_size = read_value<std::size_t>(in, "live");
-  ck.live.resize(live_size);
-  for (auto& flag : ck.live) {
+  const std::size_t machines = ck.num_machines;
+  const std::size_t jobs = ck.num_jobs;
+  r.row(ck.order, r.count("order", machines, "machines"),
+        "order permutation");
+  const std::size_t live_size = r.count("live", machines, "machines");
+  for (std::size_t i = 0; i < live_size; ++i) {
     int bit = 0;
     if (!(in >> bit) || (bit != 0 && bit != 1)) {
-      parse_error("bad live mask entry");
+      r.fail("bad live mask entry");
     }
-    flag = static_cast<std::uint8_t>(bit);
+    ck.live.push_back(static_cast<std::uint8_t>(bit));
   }
-  const auto num_jobs = read_value<std::size_t>(in, "assignment");
-  ck.assignment.resize(num_jobs);
-  for (auto& machine : ck.assignment) {
-    std::string token;
-    if (!(in >> token)) parse_error("truncated assignment");
-    if (token == "-") {
-      machine = kUnassigned;
-    } else {
-      try {
-        machine = static_cast<MachineId>(std::stoul(token));
-      } catch (const std::exception&) {
-        parse_error("bad assignment entry \"" + token + "\"");
-      }
-    }
-  }
-  const auto loads_size = read_value<std::size_t>(in, "loads");
-  ck.loads.resize(loads_size);
-  for (auto& load : ck.loads) {
-    std::uint64_t bits = 0;
-    if (!(in >> bits)) parse_error("truncated loads");
-    load = double_of(bits);
-  }
-  ck.churn_cursor = read_value<std::size_t>(in, "churn_cursor");
-  const auto queue_size = read_value<std::size_t>(in, "churn_queue");
-  ck.churn_queue.resize(queue_size);
-  for (auto& job : ck.churn_queue) {
-    if (!(in >> job)) parse_error("truncated churn queue");
-  }
-  expect_key(in, "churn_counters");
+  r.id_row(ck.assignment, r.count("assignment", jobs, "jobs"), kUnassigned,
+           "assignment");
+  r.row(ck.loads, r.count("loads", machines, "machines"), "loads");
+  ck.churn_cursor = r.value<std::size_t>("churn_cursor");
+  r.row(ck.churn_queue, r.count("churn_queue", jobs, "jobs"), "churn queue");
+  r.expect("churn_counters");
   if (!(in >> ck.churn.joins >> ck.churn.drains >> ck.churn.crashes >>
         ck.churn.orphaned >> ck.churn.redispatched)) {
-    parse_error("truncated churn counters");
+    r.fail("truncated churn counters");
   }
-  const auto obs_size = read_value<std::size_t>(in, "obs_counters");
-  ck.obs_counters.resize(obs_size);
-  for (auto& [name, value] : ck.obs_counters) {
-    if (!(in >> name >> value)) parse_error("truncated obs counters");
+  const auto obs_size = r.value<std::size_t>("obs_counters");
+  for (std::size_t k = 0; k < obs_size; ++k) {
+    std::string name;
+    std::uint64_t value = 0;
+    if (!(in >> name >> value)) r.fail("truncated obs counters");
+    ck.obs_counters.emplace_back(std::move(name), value);
   }
   return ck;
 }
@@ -232,19 +139,12 @@ std::vector<std::pair<std::string, std::uint64_t>> checkpoint_obs_counters(
 }
 
 void Checkpoint::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("Checkpoint::save_file: cannot open " + path);
-  }
-  save(out);
+  record::save_file(path, "Checkpoint::save_file",
+                    [this](std::ostream& out) { save(out); });
 }
 
 Checkpoint Checkpoint::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("Checkpoint::load_file: cannot open " + path);
-  }
-  return load(in);
+  return record::load_file(path, "Checkpoint::load_file", load);
 }
 
 }  // namespace dlb::dist

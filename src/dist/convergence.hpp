@@ -8,12 +8,16 @@
 //     when no stable state is reachable from the initial distribution.
 //   * find_nonconvergent_case — seeded search for such a witness.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "core/assignment.hpp"
 #include "core/schedule.hpp"
+#include "obs/flight_recorder.hpp"
 #include "pairwise/pair_kernel.hpp"
 
 namespace dlb::dist {
@@ -27,6 +31,31 @@ std::size_t sweep_all_pairs(Schedule& schedule,
 /// Non-mutating stability check (sweeps a copy).
 [[nodiscard]] bool is_stable(const Schedule& schedule,
                              const pairwise::PairKernel& kernel);
+
+/// A flight-recorder sample of the load shape over `machines` (a range of
+/// machine ids): Cmax — their largest load unless `cmax` is given —, the
+/// imbalance against their least load, and the deepest queue. The caller
+/// stamps the round and its own tallies.
+template <typename Machines>
+[[nodiscard]] obs::FlightSample load_sample(
+    const Schedule& schedule, Machines&& machines,
+    std::optional<Cost> cmax = std::nullopt) {
+  Cost max_load = 0.0;
+  Cost cmin = std::numeric_limits<Cost>::infinity();
+  std::size_t queue_max = 0;
+  for (const MachineId machine : machines) {
+    const Cost load = schedule.load(machine);
+    max_load = std::max(max_load, load);
+    cmin = std::min(cmin, load);
+    queue_max = std::max(queue_max, schedule.jobs_on(machine).size());
+  }
+  obs::FlightSample sample;
+  sample.cmax = cmax.value_or(max_load);
+  if (!std::isfinite(cmin)) cmin = sample.cmax;  // no machines
+  sample.imbalance = sample.cmax - cmin;
+  sample.queue_max = queue_max;
+  return sample;
+}
 
 /// Live-set restricted variants for elastic runs (src/dist/churn): only
 /// ordered pairs drawn from `machines` are swept, so dead machines —

@@ -1,316 +1,137 @@
 #include "dist/exchange_engine.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <initializer_list>
-#include <limits>
+#include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
-
-#include "core/arena.hpp"
-#include "dist/convergence.hpp"
 
 namespace dlb::dist {
 
 namespace {
 
-/// Initial trace reservation: enough for every small instance, while a
-/// max_exchanges in the hundreds of thousands (the default cap) no longer
-/// forces a multi-megabyte allocation up front — the vectors grow instead.
-constexpr std::size_t kTraceReserveCap = 4096;
+constexpr PlannerTraits kSequentialTraits{
+    .engine = "ExchangeEngine",
+    .overflow_counter = "exchange.plan_arena_overflows",
+    .checkpoint_kind = Checkpoint::Engine::kSequential,
+    .needs_two_machines = false,
+    .steps_are_exchanges = true,
+    .flight_cmax_from_live_loads = true,
+    .counts_final_idle_epoch = true,
+};
+
+/// One exchange per step: the initiator comes from the shuffled round (or
+/// a uniform draw), the peer from the selector, both drawn from the
+/// caller's persistent generator — so the checkpoint carries its state.
+class SequentialPlanner final : public ExchangeLoop {
+ public:
+  SequentialPlanner(Schedule& schedule, const EngineOptions& options,
+                    const pairwise::PairKernel& kernel,
+                    const PeerSelector& selector, stats::Rng& rng,
+                    RunResult& result)
+      : ExchangeLoop(kSequentialTraits, schedule, options, kernel, result,
+                     std::nullopt, 0),
+        selector_(selector),
+        rng_(rng),
+        result_(result),
+        initiator_(options.initiator) {}
+
+ private:
+  void restore(const Checkpoint& ck) override {
+    // The checkpointed generator continues the exact draw sequence; the
+    // caller's rng is overwritten so its pre-resume state cannot leak in.
+    rng_ = stats::Rng::from_state(ck.rng_state);
+    for (const auto& [name, value] : ck.obs_counters) {
+      if (name == "exchange.migrations") kernel_moves_ = value;
+    }
+  }
+
+  void save(Checkpoint& ck) const override {
+    ck.rng_state = rng_.state();
+    ck.obs_counters = checkpoint_obs_counters(
+        {{"exchange.count", ck.exchanges},
+         {"exchange.changed", ck.changed_exchanges},
+         {"exchange.migrations", kernel_moves_}},
+        ck.churn);
+  }
+
+  void begin_epoch(std::uint64_t /*epoch*/) override {
+    if (initiator_ == InitiatorPolicy::kRoundRobinShuffled) {
+      stats::shuffle(order_.begin(), order_.end(), rng_);
+    }
+    pos_ = 0;
+  }
+
+  std::optional<Cost> step(std::uint64_t /*epoch*/) override {
+    if (pos_ == order_.size() ||
+        result_.exchanges >= options_.max_exchanges) {
+      return std::nullopt;
+    }
+    const std::vector<MachineId>& live = churn_.live_machines();
+    const MachineId initiator =
+        initiator_ == InitiatorPolicy::kRoundRobinShuffled
+            ? order_[pos_]
+            : live[rng_.below(live.size())];
+    ++pos_;
+    // Peer selection runs over the compacted live machine set; with the
+    // whole cluster live the mapping is the identity.
+    const MachineId peer = live[selector_.select_on(
+        static_cast<MachineId>(churn_.live_index(initiator)),
+        std::span<const MachineId>(live), schedule_, rng_)];
+
+    const std::uint64_t migrations_pre = schedule_.migrations();
+    const bool changed = kernel_.balance(schedule_, initiator, peer);
+    ++result_.exchanges;
+    if (changed) ++result_.changed_exchanges;
+    const Cost cmax = schedule_.makespan();
+
+    // One recording path feeds the RunResult vectors and every obs sink.
+    // exchange.migrations counts kernel moves only; RunReport::migrations
+    // also counts churn drains.
+    const std::uint64_t moved = schedule_.migrations() - migrations_pre;
+    kernel_moves_ += moved;
+    if (options_.record_trace) {
+      result_.makespan_trace.push_back(cmax);
+      result_.exchange_trace.push_back({cmax, changed, run_migrations()});
+    }
+    if (c_exchanges_ != nullptr) {
+      c_exchanges_->add();
+      if (changed) c_changed_->add();
+      c_migrations_->add(moved);
+      g_cmax_->set(cmax);
+    }
+    if (tracer_ != nullptr) {
+      // Virtual time: exchange k spans [k, k+1) microseconds.
+      const auto ts = static_cast<double>(result_.exchanges - 1);
+      tracer_->begin(ts, initiator, "exchange", "dist",
+                     {{"initiator", static_cast<std::int64_t>(initiator)},
+                      {"peer", static_cast<std::int64_t>(peer)},
+                      {"kernel", std::string(kernel_.name())}});
+      tracer_->end(ts + 1.0, initiator, "exchange",
+                   {{"changed", changed},
+                    {"jobs_moved", static_cast<std::int64_t>(moved)},
+                    {"cmax", cmax}});
+    }
+    return cmax;
+  }
+
+  const PeerSelector& selector_;
+  stats::Rng& rng_;
+  RunResult& result_;
+  const InitiatorPolicy initiator_;
+  obs::Counter* const c_exchanges_ = counter("exchange.count");
+  obs::Counter* const c_changed_ = counter("exchange.changed");
+  obs::Counter* const c_migrations_ = counter("exchange.migrations");
+  obs::Gauge* const g_cmax_ = gauge("exchange.cmax");
+  std::size_t pos_ = 0;              ///< Next position in the round.
+  std::uint64_t kernel_moves_ = 0;  ///< exchange.migrations' value.
+};
 
 }  // namespace
 
 RunResult ExchangeEngine::run(Schedule& schedule, const EngineOptions& options,
                               stats::Rng& rng) const {
-  if (options.stability_check_interval.has_value() &&
-      *options.stability_check_interval == 0) {
-    throw std::invalid_argument(
-        "ExchangeEngine: stability_check_interval must be >= 1 when set");
-  }
-  const std::size_t m = schedule.num_machines();
-  if (options.churn != nullptr) options.churn->validate(m);
-  ChurnRuntime churn(options.churn, m);
-  if (options.resume != nullptr &&
-      (options.resume->engine != Checkpoint::Engine::kSequential ||
-       options.resume->num_machines != m ||
-       options.resume->num_jobs != schedule.num_jobs())) {
-    throw std::invalid_argument(
-        "ExchangeEngine: checkpoint does not match this run (engine kind or "
-        "instance shape differs)");
-  }
-
-  // Let the kernel attach (or detach) its decision instance before any
-  // balance/stability probe; runs on fresh and resumed paths alike so a
-  // resume rebuilds the same surrogate deterministically.
-  kernel_->prepare(schedule);
-
-  const std::uint64_t migrations_before = schedule.migrations();
-  const std::uint64_t resumed_migrations =
-      options.resume != nullptr ? options.resume->migrations : 0;
   RunResult result;
-
-  // Resolve observability handles once; every hot-loop use below is a
-  // single null test (disabled) or a relaxed atomic / ring append.
-  obs::Metrics* metrics = obs::metrics_of(options.obs);
-  obs::Tracer* tracer = obs::tracer_of(options.obs);
-  obs::Counter* c_exchanges =
-      metrics ? &metrics->counter("exchange.count") : nullptr;
-  obs::Counter* c_changed =
-      metrics ? &metrics->counter("exchange.changed") : nullptr;
-  obs::Counter* c_migrations =
-      metrics ? &metrics->counter("exchange.migrations") : nullptr;
-  obs::Gauge* g_cmax = metrics ? &metrics->gauge("exchange.cmax") : nullptr;
-  obs::FlightRecorder* flight = obs::flight_of(options.obs);
-
-  // The round buffer (this engine's only epoch plan state) comes from an
-  // arena sized once from the machine count — ids are stable under churn,
-  // so re-filling it on a mask change can never outgrow m and the epoch
-  // loop runs allocation-free (asserted after the loop).
-  core::Arena arena(core::Arena::bytes_for<MachineId>(m));
-  core::FixedVec<MachineId> round(arena.alloc<MachineId>(m));
-  std::uint64_t epoch = 0;
-  // Kernel-driven job moves only — what the exchange.migrations counter
-  // accumulates. Distinct from RunResult::migrations, which also counts
-  // churn drains (the work really crosses the network either way, but the
-  // counter is attributed to the exchange dynamic).
-  std::uint64_t kernel_moves = 0;
-
-  if (options.resume != nullptr) {
-    const Checkpoint& ck = *options.resume;
-    // The checkpointed generator continues the exact draw sequence; the
-    // caller's rng is overwritten so its pre-resume state cannot leak in.
-    rng = stats::Rng::from_state(ck.rng_state);
-    round.assign(ck.order.begin(), ck.order.end());
-    epoch = ck.epochs;
-    result.initial_makespan = ck.initial_makespan;
-    result.best_makespan = ck.best_makespan;
-    result.exchanges = ck.exchanges;
-    result.changed_exchanges = ck.changed_exchanges;
-    churn.restore(ck.churn_cursor, ck.churn_queue, ck.churn, schedule);
-    for (const auto& [name, value] : ck.obs_counters) {
-      if (name == "exchange.migrations") kernel_moves = value;
-      if (metrics != nullptr) metrics->counter(name).add(value);
-    }
-  } else {
-    churn.apply_initial(schedule, options.obs);
-    result.initial_makespan = schedule.makespan();
-    result.best_makespan = result.initial_makespan;
-    round.assign(churn.live_machines().begin(), churn.live_machines().end());
-    // Threshold may already hold before any exchange (resumed runs passed
-    // this gate when they started, so they skip it).
-    if (options.stop_threshold.has_value() &&
-        schedule.makespan() <= *options.stop_threshold) {
-      result.reached_threshold = true;
-      result.exchanges_to_threshold = 0;
-      result.final_makespan = schedule.makespan();
-      fill_risk_report(result, schedule);
-      return result;
-    }
-  }
-
-  if (options.record_trace) {
-    const std::size_t reserve =
-        std::min(options.max_exchanges, kTraceReserveCap);
-    result.makespan_trace.reserve(reserve);
-    result.exchange_trace.reserve(reserve);
-  }
-
-  // One recording path feeds the RunResult vectors and the tracer, so the
-  // legacy makespan_trace stays in lockstep with every other sink.
-  const auto record = [&](MachineId initiator, MachineId peer, bool changed,
-                          std::uint64_t moved, Cost cmax) {
-    kernel_moves += moved;
-    if (options.record_trace) {
-      result.makespan_trace.push_back(cmax);
-      result.exchange_trace.push_back({cmax, changed,
-                                       schedule.migrations() -
-                                           migrations_before +
-                                           resumed_migrations});
-    }
-    if (c_exchanges) {
-      c_exchanges->add();
-      if (changed) c_changed->add();
-      c_migrations->add(moved);
-      g_cmax->set(cmax);
-    }
-    if (tracer) {
-      // Virtual time: exchange k spans [k, k+1) microseconds.
-      const auto ts = static_cast<double>(result.exchanges - 1);
-      tracer->begin(ts, initiator, "exchange", "dist",
-                    {{"initiator", static_cast<std::int64_t>(initiator)},
-                     {"peer", static_cast<std::int64_t>(peer)},
-                     {"kernel", std::string(kernel_->name())}});
-      tracer->end(ts + 1.0, initiator, "exchange",
-                  {{"changed", changed},
-                   {"jobs_moved", static_cast<std::int64_t>(moved)},
-                   {"cmax", cmax}});
-    }
-  };
-
-  const auto fill_checkpoint = [&](Checkpoint& ck) {
-    ck = Checkpoint{};
-    ck.engine = Checkpoint::Engine::kSequential;
-    ck.num_machines = m;
-    ck.num_jobs = schedule.num_jobs();
-    ck.rng_state = rng.state();
-    ck.order.assign(round.begin(), round.end());
-    ck.epochs = epoch;
-    ck.initial_makespan = result.initial_makespan;
-    ck.best_makespan = result.best_makespan;
-    ck.exchanges = result.exchanges;
-    ck.changed_exchanges = result.changed_exchanges;
-    ck.migrations =
-        schedule.migrations() - migrations_before + resumed_migrations;
-    const auto live = schedule.live_mask();
-    ck.live.assign(live.begin(), live.end());
-    ck.assignment = schedule.assignment().raw();
-    ck.loads.resize(m);
-    for (MachineId i = 0; i < m; ++i) ck.loads[i] = schedule.load(i);
-    ck.churn_cursor = churn.cursor();
-    ck.churn_queue = churn.pending();
-    ck.churn = churn.counters();
-    ck.obs_counters = checkpoint_obs_counters(
-        {{"exchange.count", ck.exchanges},
-         {"exchange.changed", ck.changed_exchanges},
-         {"exchange.migrations", kernel_moves}},
-        ck.churn);
-    if (metrics) metrics->counter("checkpoint.saves").add();
-    if (tracer) {
-      tracer->instant(static_cast<double>(result.exchanges), 0, "CHECKPOINT",
-                      "checkpoint",
-                      {{"epoch", static_cast<std::int64_t>(epoch)}});
-    }
-  };
-
-  bool stop = false;
-  while (!stop && result.exchanges < options.max_exchanges) {
-    if (round.empty()) break;  // No machines at all: nothing can ever run.
-    ++epoch;
-    if (churn.active()) {
-      const bool mask_changed = churn.begin_epoch(
-          epoch, schedule, options.obs,
-          static_cast<double>(result.exchanges));
-      if (mask_changed) {
-        round.assign(churn.live_machines().begin(),
-                     churn.live_machines().end());
-      }
-      if (round.size() < 2) {
-        // A single live machine has no exchange partner. Once the orphan
-        // queue is drained, fast-forward to the next event instead of
-        // spinning one empty epoch at a time.
-        if (churn.exhausted()) break;
-        const auto next = churn.next_event_epoch();
-        if (churn.pending().empty() && next.has_value() &&
-            *next > epoch + 1) {
-          epoch = *next - 1;
-        }
-        continue;
-      }
-    }
-    if (options.initiator == InitiatorPolicy::kRoundRobinShuffled) {
-      stats::shuffle(round.begin(), round.end(), rng);
-    }
-    const std::vector<MachineId>& live = churn.live_machines();
-    const std::size_t live_count = live.size();
-    for (std::size_t pos = 0;
-         pos < round.size() && result.exchanges < options.max_exchanges;
-         ++pos) {
-      const MachineId initiator =
-          options.initiator == InitiatorPolicy::kRoundRobinShuffled
-              ? round[pos]
-              : live[rng.below(live_count)];
-      // Peer selection runs over the compacted live machine set; with the
-      // whole cluster live the mapping is the identity.
-      const MachineId peer = live[selector_->select_on(
-          static_cast<MachineId>(churn.live_index(initiator)),
-          std::span<const MachineId>(live), schedule, rng)];
-
-      const std::uint64_t migrations_pre = schedule.migrations();
-      const bool changed = kernel_->balance(schedule, initiator, peer);
-      ++result.exchanges;
-      if (changed) ++result.changed_exchanges;
-
-      const Cost cmax = schedule.makespan();
-      result.best_makespan = std::min(result.best_makespan, cmax);
-      record(initiator, peer, changed,
-             schedule.migrations() - migrations_pre, cmax);
-
-      if (options.stop_threshold.has_value() && !result.reached_threshold &&
-          cmax <= *options.stop_threshold) {
-        result.reached_threshold = true;
-        result.exchanges_to_threshold = result.exchanges;
-        stop = true;
-        break;
-      }
-      if (options.stability_check_interval.has_value() &&
-          result.exchanges % *options.stability_check_interval == 0 &&
-          (!churn.active() || churn.exhausted()) &&
-          (churn.active() ? is_stable(schedule, *kernel_, live)
-                          : is_stable(schedule, *kernel_))) {
-        result.converged = true;
-        stop = true;
-        break;
-      }
-    }
-    if (flight != nullptr) {
-      // One convergence sample per epoch (the engine's "round"): the
-      // recorder keeps the newest window, so long runs retain the tail
-      // of the descent rather than its first moments.
-      obs::FlightSample sample;
-      sample.round = epoch;
-      Cost cmax_now = 0.0;
-      Cost cmin = std::numeric_limits<Cost>::infinity();
-      std::size_t queue_max = 0;
-      for (const MachineId machine : live) {
-        const Cost load = schedule.load(machine);
-        cmax_now = std::max(cmax_now, load);
-        cmin = std::min(cmin, load);
-        queue_max = std::max(queue_max, schedule.jobs_on(machine).size());
-      }
-      if (!std::isfinite(cmin)) cmin = cmax_now;
-      sample.cmax = cmax_now;
-      sample.imbalance = cmax_now - cmin;
-      sample.exchanges = result.exchanges;
-      sample.migrations =
-          schedule.migrations() - migrations_before + resumed_migrations;
-      sample.queue_max = queue_max;
-      flight->record(sample);
-    }
-    if (stop) break;
-    const bool halt_here = options.halt_after_epoch.has_value() &&
-                           *options.halt_after_epoch == epoch;
-    if (options.checkpoint_out != nullptr &&
-        (halt_here || (options.checkpoint_every != 0 &&
-                       epoch % options.checkpoint_every == 0))) {
-      fill_checkpoint(*options.checkpoint_out);
-    }
-    if (halt_here) {
-      result.halted = true;
-      break;
-    }
-  }
-  // No-allocation invariant for the exchange loop (see core/arena.hpp).
-  if (metrics != nullptr) {
-    metrics->counter("exchange.plan_arena_overflows").add(arena.overflows());
-  }
-  assert(arena.overflows() == 0);
-  result.final_makespan = schedule.makespan();
-  result.migrations =
-      schedule.migrations() - migrations_before + resumed_migrations;
-  result.epochs = epoch;
-  const ChurnCounters& cc = churn.counters();
-  result.churn_joins = cc.joins;
-  result.churn_drains = cc.drains;
-  result.churn_crashes = cc.crashes;
-  result.churn_orphaned = cc.orphaned;
-  result.churn_redispatched = cc.redispatched;
-  result.churn_pending = churn.pending().size();
-  fill_risk_report(result, schedule);
+  SequentialPlanner(schedule, options, *kernel_, *selector_, rng, result)
+      .run();
   return result;
 }
 

@@ -7,15 +7,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/schedule.hpp"
-#include "dist/checkpoint.hpp"
-#include "dist/churn.hpp"
+#include "dist/exchange_loop.hpp"
 #include "dist/peer_selector.hpp"
-#include "dist/run_report.hpp"
-#include "obs/obs.hpp"
 #include "pairwise/pair_kernel.hpp"
 #include "stats/rng.hpp"
 
@@ -30,42 +26,14 @@ enum class InitiatorPolicy {
   kUniformRandom,
 };
 
-struct EngineOptions {
-  /// Hard cap on pairwise exchange operations.
-  std::size_t max_exchanges = 100'000;
-  /// Record Cmax after every exchange (Figure 4's trajectory).
-  bool record_trace = false;
-  /// When set: stop as soon as Cmax <= stop_threshold (Figure 5's metric).
-  std::optional<Cost> stop_threshold;
-  /// When set (must be >= 1): every this-many exchanges, certify stability
-  /// by a full pair sweep on a copy; stop if stable (Theorem 7's
-  /// precondition).
-  std::optional<std::size_t> stability_check_interval;
+/// The shared fields (cap, stops, trace, obs, churn, checkpoint/halt/resume)
+/// live on ExchangeOptions. The sequential engine's obs sinks: counters
+/// exchange.count / .changed / .migrations; gauge exchange.cmax; tracer
+/// spans "exchange" on the virtual axis of one microsecond per exchange.
+/// One engine epoch is one full pass over the live initiator round. On
+/// resume, `rng` is overwritten with the checkpointed generator state.
+struct EngineOptions : ExchangeOptions {
   InitiatorPolicy initiator = InitiatorPolicy::kRoundRobinShuffled;
-  /// Optional observability sinks (must outlive the run). Counters:
-  /// exchange.count / .changed / .migrations; gauge exchange.cmax; tracer
-  /// spans "exchange" on the virtual axis of one microsecond per exchange.
-  const obs::Context* obs = nullptr;
-
-  // ----- elasticity (src/dist/churn, src/dist/checkpoint) -----
-
-  /// Optional churn plan (must outlive the run). One engine epoch — a full
-  /// pass over the live initiator round — is one plan epoch. Null or
-  /// trivial keeps the classic fixed-cluster behaviour byte-for-byte.
-  const ChurnPlan* churn = nullptr;
-  /// When nonzero: snapshot the run into *checkpoint_out every this-many
-  /// epochs (at the epoch boundary) and emit a CHECKPOINT trace instant.
-  std::uint64_t checkpoint_every = 0;
-  Checkpoint* checkpoint_out = nullptr;
-  /// When set: stop after this epoch completes (snapshotting into
-  /// checkpoint_out if provided) with RunResult::halted true. The
-  /// checkpoint/restore tests interrupt runs this way.
-  std::optional<std::uint64_t> halt_after_epoch;
-  /// When set: continue the checkpointed run instead of starting fresh.
-  /// `schedule` must come from Checkpoint::make_schedule and `rng` is
-  /// overwritten with the checkpointed generator state. The finished run
-  /// is bitwise identical to one that never stopped.
-  const Checkpoint* resume = nullptr;
 };
 
 /// Per-exchange record captured when EngineOptions::record_trace is set.
@@ -73,21 +41,14 @@ struct ExchangeTracePoint {
   Cost makespan = 0.0;            ///< Cmax after the exchange.
   bool changed = false;           ///< Did the kernel move any job?
   std::uint64_t migrations = 0;   ///< Cumulative job moves within the run.
+
+  friend bool operator==(const ExchangeTracePoint&,
+                         const ExchangeTracePoint&) = default;
 };
 
-/// Shared fields (initial/final/best Cmax, exchanges, migrations,
-/// converged) live on the RunReport base; the engine-specific extras below
-/// are members of this result only.
-struct RunResult : RunReport {
-  std::size_t changed_exchanges = 0;  ///< Pair operations that moved a job.
-  bool reached_threshold = false;
-  std::size_t exchanges_to_threshold = 0;  ///< Valid iff reached_threshold.
-  /// Initiator rounds completed (the sequential engine's epoch count —
-  /// cumulative across resume).
-  std::uint64_t epochs = 0;
-  /// The run stopped at EngineOptions::halt_after_epoch, not a terminal
-  /// condition; continue it from the checkpoint.
-  bool halted = false;
+/// Shared fields live on the RunReport and ExchangeReport bases; the
+/// per-exchange traces below are this engine's own.
+struct RunResult : ExchangeReport {
   /// Cmax after each exchange (optional). Kept as a plain vector for the
   /// existing fig4/fig5 callers; it is a view of the same per-exchange
   /// recording that feeds `exchange_trace` and the obs tracer.

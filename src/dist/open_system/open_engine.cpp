@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/cost_model.hpp"
+#include "dist/convergence.hpp"
 #include "dist/open_system/job_pool.hpp"
 #include "obs/metrics.hpp"
 
@@ -133,16 +134,18 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
              "open checkpoints need a non-trivial arrival plan (closed-mode "
              "delegation uses the inner engines' own checkpoint path)");
     }
+    ExchangeOptions shared;
+    shared.max_exchanges = options.closed_max_exchanges;
+    shared.stop_threshold = options.stop_threshold;
+    shared.stability_check_interval = options.stability_check_interval;
+    shared.record_trace = options.record_trace;
+    shared.obs = options.obs;
     OpenRunReport report;
     if (options.parallel_repair) {
       ParallelEngineOptions inner;
-      inner.max_exchanges = options.closed_max_exchanges;
+      static_cast<ExchangeOptions&>(inner) = shared;
       inner.sessions_per_epoch = options.sessions_per_epoch;
-      inner.stop_threshold = options.stop_threshold;
-      inner.stability_check_interval = options.stability_check_interval;
-      inner.record_trace = options.record_trace;
       inner.pool = options.pool;
-      inner.obs = options.obs;
       ParallelRunResult result =
           ParallelExchangeEngine(*kernel_, *selector_)
               .run(schedule, inner, seed);
@@ -150,11 +153,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
       report.epoch_trace = std::move(result.epoch_trace);
     } else {
       EngineOptions inner;
-      inner.max_exchanges = options.closed_max_exchanges;
-      inner.record_trace = options.record_trace;
-      inner.stop_threshold = options.stop_threshold;
-      inner.stability_check_interval = options.stability_check_interval;
-      inner.obs = options.obs;
+      static_cast<ExchangeOptions&>(inner) = shared;
       stats::Rng rng(seed);
       RunResult result =
           ExchangeEngine(*kernel_, *selector_).run(schedule, inner, rng);
@@ -291,31 +290,30 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   const bool repair_enabled = options.repair_every > 0.0 &&
                               options.repair_budget > 0 && m >= 2;
 
+  ExchangeOptions burst_options;
+  burst_options.max_exchanges = options.repair_budget;
   const auto run_burst = [&]() {
     const std::uint64_t migrations_pre = schedule.migrations();
+    ExchangeReport result;
     if (options.parallel_repair) {
       ParallelEngineOptions inner;
-      inner.max_exchanges = options.repair_budget;
+      static_cast<ExchangeOptions&>(inner) = burst_options;
       inner.sessions_per_epoch = options.sessions_per_epoch;
       inner.pool = options.pool;
       // One derived seed per burst: pure in the burst index, so a resumed
       // run replays the exact burst the uninterrupted run executed.
       const std::uint64_t this_burst =
           stats::Rng::stream(burst_seed, bursts - 1)();
-      const ParallelRunResult result =
-          ParallelExchangeEngine(*kernel_, *selector_)
-              .run(schedule, inner, this_burst);
-      repair_exchanges += result.exchanges;
-      repair_changed += result.changed_exchanges;
+      result = ParallelExchangeEngine(*kernel_, *selector_)
+                   .run(schedule, inner, this_burst);
     } else {
       EngineOptions inner;
-      inner.max_exchanges = options.repair_budget;
-      const RunResult result =
-          ExchangeEngine(*kernel_, *selector_).run(schedule, inner,
-                                                   repair_rng);
-      repair_exchanges += result.exchanges;
-      repair_changed += result.changed_exchanges;
+      static_cast<ExchangeOptions&>(inner) = burst_options;
+      result = ExchangeEngine(*kernel_, *selector_)
+                   .run(schedule, inner, repair_rng);
     }
+    repair_exchanges += result.exchanges;
+    repair_changed += result.changed_exchanges;
     repair_migrations += schedule.migrations() - migrations_pre;
     // Repair may have parked waiting jobs on idle machines; service is
     // work-conserving, so they start immediately (ascending machine id).
@@ -332,23 +330,11 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
            {"waiting", static_cast<std::int64_t>(submitted - completed)}});
     }
     if (flight != nullptr) {
-      obs::FlightSample sample;
+      obs::FlightSample sample = load_sample(
+          schedule, std::views::iota(MachineId{0}, static_cast<MachineId>(m)));
       sample.round = bursts;
-      Cost cmax = 0.0;
-      Cost cmin = std::numeric_limits<Cost>::infinity();
-      std::size_t queue_peak = 0;
-      for (MachineId i = 0; i < m; ++i) {
-        const Cost load = schedule.load(i);
-        cmax = std::max(cmax, load);
-        cmin = std::min(cmin, load);
-        queue_peak = std::max(queue_peak, schedule.jobs_on(i).size());
-      }
-      if (!std::isfinite(cmin)) cmin = cmax;
-      sample.cmax = cmax;
-      sample.imbalance = cmax - cmin;
       sample.exchanges = repair_exchanges;
       sample.migrations = repair_migrations;
-      sample.queue_max = queue_peak;
       flight->record(sample);
     }
   };

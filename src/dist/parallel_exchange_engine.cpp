@@ -1,17 +1,13 @@
 #include "dist/parallel_exchange_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <limits>
 #include <memory>
 #include <mutex>
-#include <numeric>
+#include <optional>
 #include <span>
-#include <stdexcept>
+#include <string>
 
 #include "core/arena.hpp"
-#include "dist/convergence.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb::dist {
@@ -36,364 +32,213 @@ struct Outcome {
   std::uint64_t moved = 0;
 };
 
-}  // namespace
+constexpr PlannerTraits kParallelTraits{
+    .engine = "ParallelExchangeEngine",
+    .overflow_counter = "parexchange.plan_arena_overflows",
+    .checkpoint_kind = Checkpoint::Engine::kParallel,
+    .needs_two_machines = true,
+    .steps_are_exchanges = false,
+    .flight_cmax_from_live_loads = false,
+    .counts_final_idle_epoch = false,
+};
 
-ParallelRunResult ParallelExchangeEngine::run(
-    Schedule& schedule, const ParallelEngineOptions& options,
-    std::uint64_t seed) const {
-  const std::size_t m = schedule.num_machines();
-  if (m < 2) {
-    throw std::invalid_argument(
-        "ParallelExchangeEngine: need at least two machines");
-  }
-  if (options.stability_check_interval.has_value() &&
-      *options.stability_check_interval == 0) {
-    throw std::invalid_argument(
-        "ParallelExchangeEngine: stability_check_interval must be >= 1 "
-        "when set");
-  }
-  if (options.churn != nullptr) options.churn->validate(m);
-  ChurnRuntime churn(options.churn, m);
-  if (options.resume != nullptr &&
-      (options.resume->engine != Checkpoint::Engine::kParallel ||
-       options.resume->num_machines != m ||
-       options.resume->num_jobs != schedule.num_jobs() ||
-       options.resume->seed != seed)) {
-    throw std::invalid_argument(
-        "ParallelExchangeEngine: checkpoint does not match this run "
-        "(engine kind, seed, or instance shape differs)");
-  }
+/// One committed batch per step, the epoch's only one: plan disjoint pairs
+/// from per-session streams (sequential), execute them on the pool, commit
+/// in session order (sequential).
+class ParallelPlanner final : public ExchangeLoop {
+ public:
+  ParallelPlanner(Schedule& schedule, const ParallelEngineOptions& options,
+                  const pairwise::PairKernel& kernel,
+                  const PeerSelector& selector, std::uint64_t seed,
+                  ParallelRunResult& result)
+      : ExchangeLoop(kParallelTraits, schedule, options, kernel, result, seed,
+                     plan_bytes(schedule.num_machines())),
+        selector_(selector),
+        plan_options_(options),
+        stream_seed_(seed),
+        result_(result),
+        locks_(std::make_unique<std::mutex[]>(schedule.num_machines())),
+        claimed_(arena_.alloc<std::uint64_t>(schedule.num_machines())),
+        batch_(arena_.alloc<Session>(schedule.num_machines() / 2)),
+        outcomes_(arena_.alloc<Outcome>(schedule.num_machines() / 2)) {}
 
-  // Let the kernel attach (or detach) its decision instance before any
-  // balance/stability probe; runs on fresh and resumed paths alike so a
-  // resume rebuilds the same surrogate deterministically. Single-threaded
-  // here — the surrogate is immutable once the parallel phase starts.
-  kernel_->prepare(schedule);
-
-  const std::uint64_t migrations_before = schedule.migrations();
-  const std::uint64_t resumed_migrations =
-      options.resume != nullptr ? options.resume->migrations : 0;
-  ParallelRunResult result;
-
-  obs::Metrics* metrics = obs::metrics_of(options.obs);
-  obs::Tracer* tracer = obs::tracer_of(options.obs);
-  obs::Counter* c_sessions =
-      metrics ? &metrics->counter("parexchange.sessions") : nullptr;
-  obs::Counter* c_conflicts =
-      metrics ? &metrics->counter("parexchange.conflicts") : nullptr;
-  obs::Counter* c_retries =
-      metrics ? &metrics->counter("parexchange.retries") : nullptr;
-  obs::Counter* c_epochs =
-      metrics ? &metrics->counter("parexchange.epochs") : nullptr;
-  obs::Gauge* g_cmax =
-      metrics ? &metrics->gauge("parexchange.cmax") : nullptr;
-  obs::FlightRecorder* flight = obs::flight_of(options.obs);
-
-  // Every epoch plan buffer is carved from one arena sized up front:
-  // machine ids are stable under churn, so `m` bounds the initiator order
-  // and the claim marks, and an epoch can never hold more than m/2
-  // disjoint sessions. The plan/execute/commit loop below therefore runs
-  // allocation-free (overflows() == 0, asserted after the loop).
-  core::Arena arena(core::Arena::bytes_for<MachineId>(m) +
-                    core::Arena::bytes_for<std::uint64_t>(m) +
-                    core::Arena::bytes_for<Session>(m / 2) +
-                    core::Arena::bytes_for<Outcome>(m / 2));
-  core::FixedVec<MachineId> order(arena.alloc<MachineId>(m));
-  std::uint64_t next_session = 0;  // Global id feeding per-session streams.
-
-  if (options.resume != nullptr) {
-    const Checkpoint& ck = *options.resume;
-    order.assign(ck.order.begin(), ck.order.end());
-    next_session = ck.next_session;
-    result.epochs = ck.epochs;
-    result.conflicts = ck.conflicts;
-    result.peer_retries = ck.peer_retries;
-    result.initial_makespan = ck.initial_makespan;
-    result.best_makespan = ck.best_makespan;
-    result.exchanges = ck.exchanges;
-    result.changed_exchanges = ck.changed_exchanges;
-    churn.restore(ck.churn_cursor, ck.churn_queue, ck.churn, schedule);
-    if (metrics != nullptr) {
-      for (const auto& [name, value] : ck.obs_counters) {
-        metrics->counter(name).add(value);
-      }
-    }
-  } else {
-    churn.apply_initial(schedule, options.obs);
-    result.initial_makespan = schedule.makespan();
-    result.best_makespan = result.initial_makespan;
-    order.assign(churn.live_machines().begin(), churn.live_machines().end());
-    // Threshold may already hold before any session (resumed runs passed
-    // this gate when they started, so they skip it).
-    if (options.stop_threshold.has_value() &&
-        schedule.makespan() <= *options.stop_threshold) {
-      result.reached_threshold = true;
-      result.exchanges_to_threshold = 0;
-      result.final_makespan = schedule.makespan();
-      fill_risk_report(result, schedule);
-      return result;
-    }
+ private:
+  /// Beyond the shared order: claim marks, and at most m/2 disjoint
+  /// sessions (and outcome slots) per epoch.
+  static std::size_t plan_bytes(std::size_t m) {
+    return core::Arena::bytes_for<std::uint64_t>(m) +
+           core::Arena::bytes_for<Session>(m / 2) +
+           core::Arena::bytes_for<Outcome>(m / 2);
   }
 
-  // Defense-in-depth per-machine locks, always taken in (min, max) id
-  // order. Planned pairs are disjoint, so they never contend — they exist
-  // to keep the execute phase safe-by-construction (and visibly ordered
-  // under TSan) even if a future kernel reads beyond its own pair.
-  const auto locks = std::make_unique<std::mutex[]>(m);
+  void restore(const Checkpoint& ck) override {
+    next_session_ = ck.next_session;
+    result_.conflicts = ck.conflicts;
+    result_.peer_retries = ck.peer_retries;
+  }
 
-  // Epoch-stamped claim marks: claimed[i] == epoch means machine i is in
-  // this epoch's batch. Resets for free when the epoch number advances
-  // (resumed runs continue the epoch numbering, so fresh zeroed marks
-  // can never collide).
-  const std::span<std::uint64_t> claimed = arena.alloc<std::uint64_t>(m);
-
-  core::FixedVec<Session> batch(arena.alloc<Session>(m / 2));
-  core::FixedVec<Outcome> outcomes(arena.alloc<Outcome>(m / 2));
-
-  const auto fill_checkpoint = [&](Checkpoint& ck) {
-    ck = Checkpoint{};
-    ck.engine = Checkpoint::Engine::kParallel;
-    ck.seed = seed;
-    ck.num_machines = m;
-    ck.num_jobs = schedule.num_jobs();
-    ck.order.assign(order.begin(), order.end());
-    ck.epochs = result.epochs;
-    ck.next_session = next_session;
-    ck.initial_makespan = result.initial_makespan;
-    ck.best_makespan = result.best_makespan;
-    ck.exchanges = result.exchanges;
-    ck.changed_exchanges = result.changed_exchanges;
-    ck.migrations =
-        schedule.migrations() - migrations_before + resumed_migrations;
-    ck.conflicts = result.conflicts;
-    ck.peer_retries = result.peer_retries;
-    const auto live = schedule.live_mask();
-    ck.live.assign(live.begin(), live.end());
-    ck.assignment = schedule.assignment().raw();
-    ck.loads.resize(m);
-    for (MachineId i = 0; i < m; ++i) ck.loads[i] = schedule.load(i);
-    ck.churn_cursor = churn.cursor();
-    ck.churn_queue = churn.pending();
-    ck.churn = churn.counters();
+  void save(Checkpoint& ck) const override {
+    ck.next_session = next_session_;
+    ck.conflicts = result_.conflicts;
+    ck.peer_retries = result_.peer_retries;
     ck.obs_counters = checkpoint_obs_counters(
         {{"parexchange.sessions", ck.exchanges},
          {"parexchange.conflicts", ck.conflicts},
          {"parexchange.retries", ck.peer_retries},
          {"parexchange.epochs", ck.epochs}},
         ck.churn);
-    if (metrics) metrics->counter("checkpoint.saves").add();
-    if (tracer) {
-      tracer->instant(static_cast<double>(result.exchanges), 0, "CHECKPOINT",
-                      "checkpoint",
-                      {{"epoch", static_cast<std::int64_t>(result.epochs)}});
-    }
-  };
+  }
 
-  while (result.exchanges < options.max_exchanges) {
-    const std::uint64_t epoch = result.epochs + 1;
+  /// The epoch still happened on the churn timeline (events applied,
+  /// orphans re-dispatched); it just held no sessions.
+  void idle_epoch() override { close_epoch(0); }
 
-    // ---- churn (sequential): membership events at the epoch boundary ----
-    if (churn.active()) {
-      const bool mask_changed = churn.begin_epoch(
-          epoch, schedule, options.obs,
-          static_cast<double>(result.exchanges));
-      if (mask_changed) {
-        order.assign(churn.live_machines().begin(),
-                     churn.live_machines().end());
-      }
-    }
-    const std::vector<MachineId>& live = churn.live_machines();
+  void begin_epoch(std::uint64_t epoch) override {
+    const std::vector<MachineId>& live = churn_.live_machines();
     const std::size_t live_count = live.size();
     const std::size_t batch_cap =
-        options.sessions_per_epoch != 0
-            ? std::min(options.sessions_per_epoch, live_count / 2)
+        plan_options_.sessions_per_epoch != 0
+            ? std::min(plan_options_.sessions_per_epoch, live_count / 2)
             : live_count / 2;
-
-    // ---- plan (sequential): pick disjoint pairs for this epoch ----
-    batch.clear();
-    stats::Rng epoch_rng = stats::Rng::stream(seed ^ kEpochSalt, epoch);
-    stats::shuffle(order.begin(), order.end(), epoch_rng);
+    batch_.clear();
+    committed_ = false;
+    stats::Rng epoch_rng = stats::Rng::stream(stream_seed_ ^ kEpochSalt, epoch);
+    stats::shuffle(order_.begin(), order_.end(), epoch_rng);
     const std::size_t budget =
-        std::min(batch_cap, options.max_exchanges - result.exchanges);
-    for (const MachineId initiator : order) {
-      if (batch.size() == budget) break;
-      if (claimed[initiator] == epoch) continue;
-      stats::Rng srng = stats::Rng::stream(seed, next_session++);
+        std::min(batch_cap, options_.max_exchanges - result_.exchanges);
+    for (const MachineId initiator : order_) {
+      if (batch_.size() == budget) break;
+      if (claimed_[initiator] == epoch) continue;
+      stats::Rng srng = stats::Rng::stream(stream_seed_, next_session_++);
       Session session;
       session.initiator = initiator;
       bool planned = false;
-      for (std::size_t attempt = 0;
-           attempt <= options.max_peer_retries; ++attempt) {
+      for (std::size_t attempt = 0; attempt <= plan_options_.max_peer_retries;
+           ++attempt) {
         // Peer selection runs over the compacted live machine set; with
         // the whole cluster live the mapping is the identity.
-        const MachineId peer = live[selector_->select_on(
-            static_cast<MachineId>(churn.live_index(initiator)),
-            std::span<const MachineId>(live), schedule, srng)];
-        if (claimed[peer] != epoch) {
+        const MachineId peer = live[selector_.select_on(
+            static_cast<MachineId>(churn_.live_index(initiator)),
+            std::span<const MachineId>(live), schedule_, srng)];
+        if (claimed_[peer] != epoch) {
           session.peer = peer;
           planned = true;
           break;
         }
         ++session.retries;
       }
-      result.peer_retries += session.retries;
-      if (c_retries && session.retries != 0) c_retries->add(session.retries);
+      result_.peer_retries += session.retries;
+      if (c_retries_ != nullptr && session.retries != 0) {
+        c_retries_->add(session.retries);
+      }
       if (!planned) {
         // Every draw hit a machine already in the batch: abandon. The
         // first session of an epoch always plans (nothing is claimed
-        // yet), so the loop cannot stall.
-        ++result.conflicts;
-        if (c_conflicts) c_conflicts->add();
+        // yet), so an epoch with two live machines is never empty.
+        ++result_.conflicts;
+        if (c_conflicts_ != nullptr) c_conflicts_->add();
         continue;
       }
-      claimed[initiator] = epoch;
-      claimed[session.peer] = epoch;
-      batch.push_back(session);
+      claimed_[initiator] = epoch;
+      claimed_[session.peer] = epoch;
+      batch_.push_back(session);
     }
-    if (batch.empty()) {
-      if (!churn.active()) break;  // Only possible when budget == 0.
-      if (churn.exhausted()) break;
-      // Fewer than two live machines: the epoch still happened on the
-      // churn timeline (events applied, orphans re-dispatched above), it
-      // just held no sessions. Fast-forward over the gap to the next
-      // event once the orphan queue is drained.
-      ++result.epochs;
-      if (c_epochs) c_epochs->add();
-      const Cost cmax = schedule.makespan();
-      if (g_cmax) g_cmax->set(cmax);
-      if (options.record_trace) {
-        result.epoch_trace.push_back(
-            {cmax, 0,
-             schedule.migrations() - migrations_before +
-                 resumed_migrations});
-      }
-      const auto next = churn.next_event_epoch();
-      if (churn.pending().empty() && next.has_value() &&
-          *next > result.epochs + 1) {
-        result.epochs = *next - 1;
-      }
-      continue;
-    }
+  }
+
+  std::optional<Cost> step(std::uint64_t epoch) override {
+    if (committed_) return std::nullopt;
+    committed_ = true;
 
     // ---- execute (parallel): disjoint pairs, outcomes into fixed slots --
-    outcomes.assign(batch.size(), Outcome{});
+    outcomes_.assign(batch_.size(), Outcome{});
     const auto run_range = [&](std::size_t begin, std::size_t end) {
       for (std::size_t s = begin; s < end; ++s) {
-        const Session& session = batch[s];
+        const Session& session = batch_[s];
         const MachineId lo = std::min(session.initiator, session.peer);
         const MachineId hi = std::max(session.initiator, session.peer);
-        const std::scoped_lock guard(locks[lo], locks[hi]);
+        const std::scoped_lock guard(locks_[lo], locks_[hi]);
         const std::uint64_t arrivals_pre =
-            schedule.arrivals(session.initiator) +
-            schedule.arrivals(session.peer);
-        outcomes[s].changed =
-            kernel_->balance(schedule, session.initiator, session.peer);
-        outcomes[s].moved = schedule.arrivals(session.initiator) +
-                            schedule.arrivals(session.peer) - arrivals_pre;
+            schedule_.arrivals(session.initiator) +
+            schedule_.arrivals(session.peer);
+        outcomes_[s].changed =
+            kernel_.balance(schedule_, session.initiator, session.peer);
+        outcomes_[s].moved = schedule_.arrivals(session.initiator) +
+                             schedule_.arrivals(session.peer) - arrivals_pre;
       }
     };
-    if (options.pool != nullptr && batch.size() > 1) {
-      parallel::parallel_for(*options.pool, batch.size(), run_range);
+    if (plan_options_.pool != nullptr && batch_.size() > 1) {
+      parallel::parallel_for(*plan_options_.pool, batch_.size(), run_range);
     } else {
-      run_range(0, batch.size());
+      run_range(0, batch_.size());
     }
 
     // ---- commit (sequential, in session order) ----
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-      ++result.exchanges;
-      if (outcomes[s].changed) ++result.changed_exchanges;
-      if (c_sessions) c_sessions->add();
-      if (tracer) {
+    for (std::size_t s = 0; s < batch_.size(); ++s) {
+      ++result_.exchanges;
+      if (outcomes_[s].changed) ++result_.changed_exchanges;
+      if (c_sessions_ != nullptr) c_sessions_->add();
+      if (tracer_ != nullptr) {
         // Virtual time: session k spans [k, k+1) microseconds.
-        const auto ts = static_cast<double>(result.exchanges - 1);
-        tracer->begin(
-            ts, batch[s].initiator, "session", "dist",
-            {{"initiator", static_cast<std::int64_t>(batch[s].initiator)},
-             {"peer", static_cast<std::int64_t>(batch[s].peer)},
-             {"kernel", std::string(kernel_->name())}});
-        tracer->end(
-            ts + 1.0, batch[s].initiator, "session",
-            {{"changed", outcomes[s].changed},
-             {"jobs_moved", static_cast<std::int64_t>(outcomes[s].moved)},
+        const auto ts = static_cast<double>(result_.exchanges - 1);
+        tracer_->begin(
+            ts, batch_[s].initiator, "session", "dist",
+            {{"initiator", static_cast<std::int64_t>(batch_[s].initiator)},
+             {"peer", static_cast<std::int64_t>(batch_[s].peer)},
+             {"kernel", std::string(kernel_.name())}});
+        tracer_->end(
+            ts + 1.0, batch_[s].initiator, "session",
+            {{"changed", outcomes_[s].changed},
+             {"jobs_moved", static_cast<std::int64_t>(outcomes_[s].moved)},
              {"epoch", static_cast<std::int64_t>(epoch)}});
       }
     }
-    ++result.epochs;
-    if (c_epochs) c_epochs->add();
-    const Cost cmax = schedule.makespan();
-    result.best_makespan = std::min(result.best_makespan, cmax);
-    if (g_cmax) g_cmax->set(cmax);
-    if (options.record_trace) {
-      result.epoch_trace.push_back(
-          {cmax, static_cast<std::uint64_t>(batch.size()),
-           schedule.migrations() - migrations_before + resumed_migrations});
-    }
-    if (flight != nullptr) {
-      // One convergence sample per committed epoch; the recorder keeps the
-      // newest window, so long runs retain the tail of the descent.
-      obs::FlightSample sample;
-      sample.round = epoch;
-      Cost cmin = std::numeric_limits<Cost>::infinity();
-      std::size_t queue_max = 0;
-      for (const MachineId machine : live) {
-        cmin = std::min(cmin, schedule.load(machine));
-        queue_max = std::max(queue_max, schedule.jobs_on(machine).size());
-      }
-      if (!std::isfinite(cmin)) cmin = cmax;
-      sample.cmax = cmax;
-      sample.imbalance = cmax - cmin;
-      sample.exchanges = result.exchanges;
-      sample.migrations =
-          schedule.migrations() - migrations_before + resumed_migrations;
-      sample.queue_max = queue_max;
-      flight->record(sample);
-    }
+    return close_epoch(batch_.size());
+  }
 
-    if (options.stop_threshold.has_value() &&
-        cmax <= *options.stop_threshold) {
-      result.reached_threshold = true;
-      result.exchanges_to_threshold = result.exchanges;
-      break;
+  /// Epoch-boundary bookkeeping for an epoch that ran `sessions` sessions.
+  Cost close_epoch(std::size_t sessions) {
+    if (c_epochs_ != nullptr) c_epochs_->add();
+    const Cost cmax = schedule_.makespan();
+    if (g_cmax_ != nullptr) g_cmax_->set(cmax);
+    if (options_.record_trace) {
+      result_.epoch_trace.push_back(
+          {cmax, static_cast<std::uint64_t>(sessions), run_migrations()});
     }
-    if (options.stability_check_interval.has_value() &&
-        result.epochs % *options.stability_check_interval == 0 &&
-        (!churn.active() || churn.exhausted()) &&
-        (churn.active() ? is_stable(schedule, *kernel_, live)
-                        : is_stable(schedule, *kernel_))) {
-      result.converged = true;
-      break;
-    }
-    const bool halt_here = options.halt_after_epoch.has_value() &&
-                           *options.halt_after_epoch == result.epochs;
-    if (options.checkpoint_out != nullptr &&
-        (halt_here || (options.checkpoint_every != 0 &&
-                       result.epochs % options.checkpoint_every == 0))) {
-      fill_checkpoint(*options.checkpoint_out);
-    }
-    if (halt_here) {
-      result.halted = true;
-      break;
-    }
+    return cmax;
   }
-  // The no-allocation invariant for the epoch loop: every plan buffer fit
-  // in the up-front arena block. Exported as a counter so release-build
-  // telemetry can watch it; Debug builds hard-assert.
-  if (metrics != nullptr) {
-    metrics->counter("parexchange.plan_arena_overflows")
-        .add(arena.overflows());
-  }
-  assert(arena.overflows() == 0);
-  result.final_makespan = schedule.makespan();
-  result.migrations =
-      schedule.migrations() - migrations_before + resumed_migrations;
-  const ChurnCounters& cc = churn.counters();
-  result.churn_joins = cc.joins;
-  result.churn_drains = cc.drains;
-  result.churn_crashes = cc.crashes;
-  result.churn_orphaned = cc.orphaned;
-  result.churn_redispatched = cc.redispatched;
-  result.churn_pending = churn.pending().size();
-  fill_risk_report(result, schedule);
+
+  const PeerSelector& selector_;
+  const ParallelEngineOptions& plan_options_;
+  const std::uint64_t stream_seed_;
+  ParallelRunResult& result_;
+  /// Defense-in-depth per-machine locks, always taken in (min, max) id
+  /// order. Planned pairs are disjoint, so they never contend; they keep
+  /// the execute phase safe by construction (and visibly ordered under
+  /// TSan) even if a future kernel reads beyond its own pair.
+  const std::unique_ptr<std::mutex[]> locks_;
+  /// Epoch-stamped claim marks: claimed_[i] == epoch means machine i is in
+  /// this epoch's batch. Resets for free as the epoch number advances
+  /// (resumed runs continue the numbering, so zeroed marks never collide).
+  const std::span<std::uint64_t> claimed_;
+  core::FixedVec<Session> batch_;
+  core::FixedVec<Outcome> outcomes_;
+  obs::Counter* const c_sessions_ = counter("parexchange.sessions");
+  obs::Counter* const c_conflicts_ = counter("parexchange.conflicts");
+  obs::Counter* const c_retries_ = counter("parexchange.retries");
+  obs::Counter* const c_epochs_ = counter("parexchange.epochs");
+  obs::Gauge* const g_cmax_ = gauge("parexchange.cmax");
+  std::uint64_t next_session_ = 0;  ///< Global id feeding session streams.
+  bool committed_ = false;          ///< This epoch's batch has run.
+};
+
+}  // namespace
+
+ParallelRunResult ParallelExchangeEngine::run(
+    Schedule& schedule, const ParallelEngineOptions& options,
+    std::uint64_t seed) const {
+  ParallelRunResult result;
+  ParallelPlanner(schedule, options, *kernel_, *selector_, seed, result)
+      .run();
   return result;
 }
 

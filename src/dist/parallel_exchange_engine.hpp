@@ -19,66 +19,34 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/schedule.hpp"
-#include "dist/checkpoint.hpp"
-#include "dist/churn.hpp"
+#include "dist/exchange_loop.hpp"
 #include "dist/peer_selector.hpp"
-#include "dist/run_report.hpp"
-#include "obs/obs.hpp"
 #include "pairwise/pair_kernel.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace dlb::dist {
 
-struct ParallelEngineOptions {
-  /// Hard cap on executed pairwise sessions (the parallel analogue of
-  /// EngineOptions::max_exchanges).
-  std::size_t max_exchanges = 100'000;
+/// The shared fields (cap, stops, trace, obs, churn, checkpoint/halt/resume)
+/// live on ExchangeOptions; max_exchanges caps executed sessions and a
+/// stop is checked once per committed epoch. The parallel engine's obs
+/// sinks: counters parexchange.sessions / .conflicts / .retries / .epochs;
+/// gauge parexchange.cmax; tracer spans "session" on the virtual axis of
+/// one microsecond per session. On resume, run() must get the seed the
+/// checkpointed run had; the result is then bitwise identical at any
+/// thread count.
+struct ParallelEngineOptions : ExchangeOptions {
   /// Disjoint sessions planned per epoch; 0 selects num_machines / 2 (the
   /// maximum possible, since every session claims two machines).
   std::size_t sessions_per_epoch = 0;
   /// A planned initiator whose drawn peer is already claimed redraws up to
   /// this many times before the session is abandoned as a conflict.
   std::size_t max_peer_retries = 2;
-  /// When set: stop at the first epoch boundary with Cmax <= threshold.
-  std::optional<Cost> stop_threshold;
-  /// When set (must be >= 1): every this-many epochs, certify stability by
-  /// a full pair sweep on a copy; stop if stable.
-  std::optional<std::size_t> stability_check_interval;
-  /// Record one EpochTracePoint per epoch.
-  bool record_trace = false;
   /// Pool to execute each epoch's batch on; null runs the batch inline on
   /// the calling thread (the result is identical either way).
   parallel::ThreadPool* pool = nullptr;
-  /// Optional observability sinks (must outlive the run). Counters:
-  /// parexchange.sessions / .conflicts / .retries / .epochs; gauge
-  /// parexchange.cmax; tracer spans "session" on the virtual axis of one
-  /// microsecond per session.
-  const obs::Context* obs = nullptr;
-
-  // ----- elasticity (src/dist/churn, src/dist/checkpoint) -----
-  // Churn events apply in the sequential plan phase at epoch start, so an
-  // elastic run keeps the engine's thread-count invariance.
-
-  /// Optional churn plan (must outlive the run); the engine's native epoch
-  /// is the plan's epoch. Null or trivial keeps the classic fixed-cluster
-  /// behaviour byte-for-byte.
-  const ChurnPlan* churn = nullptr;
-  /// When nonzero: snapshot the run into *checkpoint_out every this-many
-  /// epochs (at the epoch boundary) and emit a CHECKPOINT trace instant.
-  std::uint64_t checkpoint_every = 0;
-  Checkpoint* checkpoint_out = nullptr;
-  /// When set: stop after this epoch commits (snapshotting into
-  /// checkpoint_out if provided) with ParallelRunResult::halted true.
-  std::optional<std::uint64_t> halt_after_epoch;
-  /// When set: continue the checkpointed run instead of starting fresh.
-  /// `schedule` must come from Checkpoint::make_schedule and the same seed
-  /// must be passed to run(). The finished run is bitwise identical to one
-  /// that never stopped, at any thread count.
-  const Checkpoint* resume = nullptr;
 };
 
 /// Per-epoch record captured when ParallelEngineOptions::record_trace is
@@ -88,26 +56,22 @@ struct EpochTracePoint {
   Cost makespan = 0.0;           ///< Cmax after the epoch committed.
   std::uint64_t sessions = 0;    ///< Sessions executed in this epoch.
   std::uint64_t migrations = 0;  ///< Cumulative job moves within the run.
+
+  friend bool operator==(const EpochTracePoint&,
+                         const EpochTracePoint&) = default;
 };
 
-/// Shared fields (initial/final/best Cmax, exchanges, migrations,
-/// converged) live on the RunReport base. `exchanges` counts executed
-/// sessions; best/threshold bookkeeping works at epoch granularity.
-struct ParallelRunResult : RunReport {
-  std::size_t changed_exchanges = 0;  ///< Sessions that moved a job.
-  std::uint64_t epochs = 0;
+/// Shared fields live on the RunReport and ExchangeReport bases
+/// (`exchanges` counts executed sessions; best/threshold bookkeeping works
+/// at epoch granularity). The planning tallies and the per-epoch trace are
+/// this engine's own.
+struct ParallelRunResult : ExchangeReport {
   /// Planned initiators abandoned because every peer draw was claimed.
   std::uint64_t conflicts = 0;
   /// Peer redraws caused by claimed peers (<= conflicts * max_peer_retries
   /// plus the redraws that eventually succeeded).
   std::uint64_t peer_retries = 0;
-  bool reached_threshold = false;
-  /// Executed sessions when the threshold epoch committed.
-  std::size_t exchanges_to_threshold = 0;  ///< Valid iff reached_threshold.
   std::vector<EpochTracePoint> epoch_trace;
-  /// The run stopped at ParallelEngineOptions::halt_after_epoch, not a
-  /// terminal condition; continue it from the checkpoint.
-  bool halted = false;
 };
 
 class ParallelExchangeEngine {

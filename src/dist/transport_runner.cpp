@@ -1,14 +1,14 @@
 #include "dist/transport_runner.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <utility>
 
+#include "dist/convergence.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb::dist {
@@ -393,26 +393,16 @@ void TransportRunner::record_flight_rounds() {
   const std::uint64_t complete =
       std::min<std::uint64_t>(watermark_ / machines, options_.rounds);
   while (flight_round_ < complete) {
-    obs::FlightSample sample;
+    obs::FlightSample sample = load_sample(
+        *replica_,
+        std::views::iota(MachineId{0}, static_cast<MachineId>(machines)) |
+            std::views::filter(
+                [this](MachineId m) { return !is_dead(m); }));
     sample.round = flight_round_;
-    Cost cmax = 0.0;
-    Cost cmin = std::numeric_limits<Cost>::infinity();
-    std::size_t queue_max = 0;
-    for (MachineId m = 0; m < machines; ++m) {
-      if (is_dead(m)) continue;
-      const Cost load = replica_->load(m);
-      cmax = std::max(cmax, load);
-      cmin = std::min(cmin, load);
-      queue_max = std::max(queue_max, replica_->jobs_on(m).size());
-    }
-    if (!std::isfinite(cmin)) cmin = cmax;  // everyone dead
-    sample.cmax = cmax;
-    sample.imbalance = cmax - cmin;
     sample.exchanges = counters_.exchanges;
     sample.migrations = counters_.migrations;
     sample.frames = counters_.frames_sent;
     sample.retries = counters_.retries;
-    sample.queue_max = queue_max;
     flight_->record(sample);
     ++flight_round_;
   }

@@ -18,13 +18,6 @@ void pooled_jobs_into(const Schedule& schedule, MachineId a, MachineId b,
   std::sort(pool.begin(), pool.end());
 }
 
-std::vector<JobId> pooled_jobs(const Schedule& schedule, MachineId a,
-                               MachineId b) {
-  std::vector<JobId> pool;
-  pooled_jobs_into(schedule, a, b, pool);
-  return pool;
-}
-
 Cost decision_load(const Schedule& schedule, MachineId i) noexcept {
   // Both branches of Schedule::decision_load are incremental
   // accumulators fed the identical += / -= sequence, so a surrogate with

@@ -64,12 +64,8 @@ class PairKernel {
 };
 
 /// Collects the pooled jobs of a and b sorted by job id (the deterministic
-/// pool every kernel starts from).
-[[nodiscard]] std::vector<JobId> pooled_jobs(const Schedule& schedule,
-                                             MachineId a, MachineId b);
-
-/// pooled_jobs into a caller-owned buffer (the allocation-free kernel
-/// path: pass pair_scratch().pool).
+/// pool every kernel starts from) into a caller-owned buffer (the
+/// allocation-free kernel path: pass pair_scratch().pool).
 void pooled_jobs_into(const Schedule& schedule, MachineId a, MachineId b,
                       std::vector<JobId>& pool);
 

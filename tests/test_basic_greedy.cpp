@@ -103,7 +103,8 @@ TEST(PairHelpers, PooledJobsIsSortedUnion) {
   s.assign(0, 1);
   s.assign(3, 1);
   s.assign(1, 2);
-  const auto pool = pooled_jobs(s, 0, 1);
+  std::vector<JobId> pool = {7};  // stale contents are replaced
+  pooled_jobs_into(s, 0, 1, pool);
   EXPECT_EQ(pool, (std::vector<JobId>{0, 2, 3}));
 }
 

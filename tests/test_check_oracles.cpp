@@ -76,7 +76,8 @@ class BrokenSwapKernel final : public pairwise::PairKernel {
  public:
   bool balance(Schedule& schedule, MachineId a,
                MachineId b) const override {
-    const auto pool = pairwise::pooled_jobs(schedule, a, b);
+    std::vector<JobId> pool;
+    pairwise::pooled_jobs_into(schedule, a, b, pool);
     if (pool.empty()) return false;
     const JobId j = pool.front();
     schedule.move(j, schedule.machine_of(j) == a ? b : a);

@@ -99,6 +99,39 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryFieldBitExactly) {
 TEST(Checkpoint, LoadRejectsWrongHeader) {
   std::stringstream bytes("dlb-instance v1\n");
   EXPECT_THROW((void)Checkpoint::load(bytes), std::runtime_error);
+
+  // Section counts are untrusted: a count past the header's machine count
+  // is a named error, and one the header allows grows as entries arrive
+  // (so a lying count hits end-of-input instead of allocating).
+  Checkpoint small;
+  small.num_machines = 3;
+  small.num_jobs = 5;
+  std::stringstream saved;
+  small.save(saved);
+  const auto load_error = [](std::string text) -> std::string {
+    std::stringstream in(text);
+    try {
+      (void)Checkpoint::load(in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "(loaded)";
+  };
+  std::string huge = saved.str();
+  huge.replace(huge.find("order 0"), 7, "order 4611686018427387904");
+  EXPECT_EQ(load_error(huge),
+            "Checkpoint::load: order count 4611686018427387904 exceeds the "
+            "header's machines (3)");
+  std::string huge_shape = huge;
+  huge_shape.replace(huge_shape.find("machines 3"), 10,
+                     "machines 4611686018427387904");
+  EXPECT_EQ(load_error(huge_shape),
+            "Checkpoint::load: truncated order permutation");
+  // An id past the id type's range is rejected, not truncated.
+  std::string wide = saved.str();
+  wide.replace(wide.find("assignment 0"), 12, "assignment 1\n4294967296");
+  EXPECT_EQ(load_error(wide),
+            "Checkpoint::load: bad assignment entry \"4294967296\"");
 }
 
 TEST(Checkpoint, MakeScheduleRejectsShapeMismatch) {
@@ -275,6 +308,13 @@ TEST(CheckpointRestore, SequentialEngineRejectsForeignCheckpoint) {
   EXPECT_THROW(
       (void)ExchangeEngine(kernel, selector).run(schedule, options, rng),
       std::invalid_argument);
+  try {
+    (void)ExchangeEngine(kernel, selector).run(schedule, options, rng);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ExchangeEngine: checkpoint does not match this run (engine "
+                 "kind or instance shape differs)");
+  }
 }
 
 TEST(CheckpointRestore, ParallelEngineRejectsSeedMismatch) {
@@ -297,6 +337,13 @@ TEST(CheckpointRestore, ParallelEngineRejectsSeedMismatch) {
   Schedule resumed = snapshot.make_schedule(inst);
   EXPECT_THROW((void)engine.run(resumed, resume_options, 12),
                std::invalid_argument);
+  try {
+    (void)engine.run(resumed, resume_options, 12);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ParallelExchangeEngine: checkpoint does not match this run "
+                 "(engine kind, seed, or instance shape differs)");
+  }
 }
 
 }  // namespace

@@ -94,6 +94,20 @@ TEST(ChurnPlan, SaveLoadRoundTrips) {
 TEST(ChurnPlan, LoadRejectsBadHeader) {
   std::stringstream bytes("dlb-instance v1\n");
   EXPECT_THROW((void)ChurnPlan::load(bytes), std::runtime_error);
+
+  // An untrusted event count grows as events arrive, so a lying count
+  // hits end-of-input instead of allocating.
+  std::stringstream huge(
+      "dlb-churn-plan v1\nseed 1 redispatch_per_epoch 0\n"
+      "events 4611686018427387904\n1 crash 0\n");
+  try {
+    (void)ChurnPlan::load(huge);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "ChurnPlan::load: truncated event list (expected "
+                 "4611686018427387904 events, got 1)");
+  }
 }
 
 TEST(ChurnPlan, RandomPlansAlwaysValidate) {

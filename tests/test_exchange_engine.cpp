@@ -92,6 +92,25 @@ TEST(ExchangeEngine, StabilityCheckCertifiesConvergence) {
   EXPECT_LT(result.exchanges, 100'000u);
 }
 
+TEST(ExchangeEngine, RejectsZeroStabilityInterval) {
+  const Instance inst = gen::identical_uniform(4, 20, 1.0, 10.0, 1);
+  Schedule s(inst, gen::random_assignment(inst, 2));
+  const pairwise::BasicGreedyKernel kernel;
+  const UniformPeerSelector selector;
+  stats::Rng rng(3);
+  EngineOptions options = capped(10);
+  options.stability_check_interval = 0;
+  try {
+    (void)ExchangeEngine(kernel, selector).run(s, options, rng);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ExchangeEngine: stability_check_interval must be >= 1 "
+                 "when set");
+  }
+  EXPECT_EQ(s.migrations(), 0u);  // rejected before touching the schedule
+}
+
 TEST(ExchangeEngine, DeterministicGivenSeed) {
   const Instance inst = gen::identical_uniform(5, 30, 1.0, 10.0, 15);
   const pairwise::BasicGreedyKernel kernel;

@@ -611,6 +611,48 @@ TEST(OpenCheckpoint, LoadRejectsCorruptHeaders) {
   EXPECT_THROW((void)OpenCheckpoint::load(bad), std::runtime_error);
   std::stringstream truncated("dlb-open-checkpoint v1\nseed 1\nmachines");
   EXPECT_THROW((void)OpenCheckpoint::load(truncated), std::runtime_error);
+
+  // Section counts are untrusted: a count past the header's job count is a
+  // named error, and one the header allows grows as entries arrive.
+  OpenCheckpoint small;
+  small.num_machines = 2;
+  small.num_jobs = 3;
+  std::stringstream saved;
+  small.save(saved);
+  const auto load_error = [](std::string text) -> std::string {
+    std::stringstream in(text);
+    try {
+      (void)OpenCheckpoint::load(in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "(loaded)";
+  };
+  std::string huge = saved.str();
+  huge.replace(huge.find("assignment 0"), 12,
+               "assignment 4611686018427387904");
+  EXPECT_EQ(load_error(huge),
+            "OpenCheckpoint::load: assignment count 4611686018427387904 "
+            "exceeds the header's jobs (3)");
+  std::string huge_shape = huge;
+  huge_shape.replace(huge_shape.find("jobs 3"), 6,
+                     "jobs 4611686018427387904");
+  EXPECT_EQ(load_error(huge_shape),
+            "OpenCheckpoint::load: bad assignment entry \"loads\"");
+}
+
+TEST(ArrivalPlan, LoadRejectsHugeTraceCount) {
+  std::stringstream saved;
+  ArrivalPlan::diurnal({1.0, 2.0}, 5.0, 7).save(saved);
+  std::string huge = saved.str();
+  huge.replace(huge.find("trace 2"), 7, "trace 4611686018427387904");
+  std::stringstream in(huge);
+  try {
+    (void)ArrivalPlan::load(in);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "ArrivalPlan::load: truncated trace");
+  }
 }
 
 }  // namespace

@@ -50,7 +50,8 @@ TEST(PairwiseOptimal, RejectsOversizedPools) {
 TEST(PairwiseOptimal, OptimalPairMakespanMatchesKernelResult) {
   const Instance inst = gen::uniform_unrelated(2, 8, 1.0, 9.0, 50);
   Schedule s(inst, gen::random_assignment(inst, 51));
-  std::vector<JobId> pool = pooled_jobs(s, 0, 1);
+  std::vector<JobId> pool;
+  pooled_jobs_into(s, 0, 1, pool);
   const Cost expected = optimal_pair_makespan(inst, 0, 1, pool);
   PairwiseOptimalKernel{}.balance(s, 0, 1);
   EXPECT_NEAR(std::max(s.load(0), s.load(1)), expected, 1e-9);

@@ -195,12 +195,25 @@ TEST(ParallelExchangeEngine, RejectsDegenerateInputs) {
   Schedule s(one, Assignment::all_on(4, 0));
   const ParallelExchangeEngine engine(greedy(), uniform());
   EXPECT_THROW((void)engine.run(s, capped(10), 23), std::invalid_argument);
+  try {
+    (void)engine.run(s, capped(10), 23);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ParallelExchangeEngine: need at least two machines");
+  }
 
   const Instance two = gen::identical_uniform(4, 8, 1.0, 2.0, 24);
   Schedule s2(two, gen::random_assignment(two, 25));
   ParallelEngineOptions options = capped(10);
   options.stability_check_interval = 0;
   EXPECT_THROW((void)engine.run(s2, options, 26), std::invalid_argument);
+  try {
+    (void)engine.run(s2, options, 26);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ParallelExchangeEngine: stability_check_interval must be "
+                 ">= 1 when set");
+  }
 }
 
 }  // namespace
