@@ -46,18 +46,22 @@ TraceStats trace_run(const char* name, const dlb::Instance& inst,
             << TablePrinter::fixed(result.initial_makespan, 0)
             << ")\n";
   // The full trajectory as a console plot (Y: Cmax, X: exchanges).
+  std::vector<dlb::Cost> trajectory;
+  trajectory.reserve(result.exchange_trace.size());
+  for (const dlb::dist::ExchangeTracePoint& point : result.exchange_trace) {
+    trajectory.push_back(point.makespan);
+  }
   dlb::stats::LinePlotOptions plot;
   plot.width = 76;
   plot.height = 14;
-  dlb::stats::line_plot(std::cout, result.makespan_trace, plot);
+  dlb::stats::line_plot(std::cout, trajectory, plot);
   std::cout << std::string(8, ' ') << "0" << std::string(66, ' ') << "40"
             << "  (exchanges per machine)\n";
 
   TablePrinter table({"exchanges/machine", "Cmax", "Cmax/LB"});
   // One sample per 4 rounds of m exchanges keeps the table compact.
-  for (std::size_t round = 1; round * m <= result.makespan_trace.size();
-       round += 4) {
-    const dlb::Cost cmax = result.makespan_trace[round * m - 1];
+  for (std::size_t round = 1; round * m <= trajectory.size(); round += 4) {
+    const dlb::Cost cmax = trajectory[round * m - 1];
     table.add_row({std::to_string(round), TablePrinter::fixed(cmax, 0),
                    TablePrinter::fixed(cmax / lb, 3)});
   }

@@ -13,6 +13,10 @@ namespace dlb::centralized {
 
 namespace {
 
+/// Relative precision of the binary search on tau.
+constexpr double kTolerance = 1e-4;
+constexpr std::size_t kMaxLpIterations = 200'000;
+
 /// Sparse variable index for the deadline LP at a given tau: one variable
 /// per (machine, job) pair with p(i, j) <= tau.
 struct DeadlineLp {
@@ -70,25 +74,24 @@ struct FeasibleSolution {
 };
 
 std::optional<FeasibleSolution> solve_deadline(const Instance& instance,
-                                               Cost tau,
-                                               std::size_t max_iterations) {
+                                               Cost tau) {
   auto built = build_deadline_lp(instance, tau);
   if (!built) return std::nullopt;
-  const lp::Solution solution = lp::solve(built->problem, max_iterations);
+  const lp::Solution solution = lp::solve(built->problem, kMaxLpIterations);
   if (solution.status != lp::Status::kOptimal) return std::nullopt;
   return FeasibleSolution{std::move(built->vars), solution.x};
 }
 
 }  // namespace
 
-Cost lp_lower_bound(const Instance& instance, const LenstraOptions& options) {
+Cost lp_lower_bound(const Instance& instance) {
   Cost lo = std::max(max_min_cost_bound(instance), min_work_bound(instance));
   Cost hi = ect_schedule(instance).makespan();
-  if (solve_deadline(instance, lo, options.max_lp_iterations)) return lo;
+  if (solve_deadline(instance, lo)) return lo;
   // Invariant: lo infeasible, hi feasible.
-  while (hi - lo > options.tolerance * std::max(1.0, lo)) {
+  while (hi - lo > kTolerance * std::max(1.0, lo)) {
     const Cost mid = 0.5 * (lo + hi);
-    if (solve_deadline(instance, mid, options.max_lp_iterations)) {
+    if (solve_deadline(instance, mid)) {
       hi = mid;
     } else {
       lo = mid;
@@ -97,14 +100,12 @@ Cost lp_lower_bound(const Instance& instance, const LenstraOptions& options) {
   return hi;
 }
 
-LenstraResult lenstra_schedule(const Instance& instance,
-                               const LenstraOptions& options) {
-  const Cost tau = lp_lower_bound(instance, options);
-  auto feasible = solve_deadline(instance, tau, options.max_lp_iterations);
+LenstraResult lenstra_schedule(const Instance& instance) {
+  const Cost tau = lp_lower_bound(instance);
+  auto feasible = solve_deadline(instance, tau);
   if (!feasible) {
     // Numerical edge: re-solve with a hair of slack.
-    feasible = solve_deadline(instance, tau * (1.0 + 1e-9) + 1e-9,
-                              options.max_lp_iterations);
+    feasible = solve_deadline(instance, tau * (1.0 + 1e-9) + 1e-9);
   }
   if (!feasible) {
     throw std::runtime_error("lenstra_schedule: LP resolve failed");

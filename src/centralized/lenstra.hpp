@@ -21,16 +21,9 @@
 
 namespace dlb::centralized {
 
-struct LenstraOptions {
-  /// Relative precision of the binary search on tau.
-  double tolerance = 1e-4;
-  std::size_t max_lp_iterations = 200'000;
-};
-
-/// The deadline-LP lower bound on OPT (smallest tau that is feasible, up to
-/// the search tolerance).
-[[nodiscard]] Cost lp_lower_bound(const Instance& instance,
-                                  const LenstraOptions& options = {});
+/// The deadline-LP lower bound on OPT: the smallest feasible tau, to a
+/// relative precision of 1e-4.
+[[nodiscard]] Cost lp_lower_bound(const Instance& instance);
 
 struct LenstraResult {
   Schedule schedule;      ///< Rounded schedule (complete).
@@ -42,8 +35,6 @@ struct LenstraResult {
 /// forest matching of fractional jobs. The result satisfies
 /// makespan <= 2 * tau whenever `matched_all` (always observed for vertex
 /// solutions; a greedy fallback covers degenerate cases).
-[[nodiscard]] LenstraResult lenstra_schedule(const Instance& instance,
-                                             const LenstraOptions& options =
-                                                 {});
+[[nodiscard]] LenstraResult lenstra_schedule(const Instance& instance);
 
 }  // namespace dlb::centralized

@@ -483,11 +483,9 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
                   "epoch", "sessions", result.epoch_trace);
   }
 
-  dist::EngineOptions options;
-  static_cast<dist::ExchangeOptions&>(options) = shared;
   stats::Rng rng(seed + 1);
   const dist::ExchangeEngine engine(kernel, selector);
-  const dist::RunResult result = engine.run(schedule, options, rng);
+  const dist::RunResult result = engine.run(schedule, shared, rng);
   return finish("", result, "", "exchange", "changed", result.exchange_trace);
 }
 

@@ -18,9 +18,9 @@ constexpr PlannerTraits kSequentialTraits{
     .counts_final_idle_epoch = true,
 };
 
-/// One exchange per step: the initiator comes from the shuffled round (or
-/// a uniform draw), the peer from the selector, both drawn from the
-/// caller's persistent generator — so the checkpoint carries its state.
+/// One exchange per step: the initiator comes from the shuffled round, the
+/// peer from the selector, both drawn from the caller's persistent
+/// generator — so the checkpoint carries its state.
 class SequentialPlanner final : public ExchangeLoop {
  public:
   SequentialPlanner(Schedule& schedule, const EngineOptions& options,
@@ -31,8 +31,7 @@ class SequentialPlanner final : public ExchangeLoop {
                      std::nullopt, 0),
         selector_(selector),
         rng_(rng),
-        result_(result),
-        initiator_(options.initiator) {}
+        result_(result) {}
 
  private:
   void restore(const Checkpoint& ck) override {
@@ -54,9 +53,7 @@ class SequentialPlanner final : public ExchangeLoop {
   }
 
   void begin_epoch(std::uint64_t /*epoch*/) override {
-    if (initiator_ == InitiatorPolicy::kRoundRobinShuffled) {
-      stats::shuffle(order_.begin(), order_.end(), rng_);
-    }
+    stats::shuffle(order_.begin(), order_.end(), rng_);
     pos_ = 0;
   }
 
@@ -66,11 +63,7 @@ class SequentialPlanner final : public ExchangeLoop {
       return std::nullopt;
     }
     const std::vector<MachineId>& live = churn_.live_machines();
-    const MachineId initiator =
-        initiator_ == InitiatorPolicy::kRoundRobinShuffled
-            ? order_[pos_]
-            : live[rng_.below(live.size())];
-    ++pos_;
+    const MachineId initiator = order_[pos_++];
     // Peer selection runs over the compacted live machine set; with the
     // whole cluster live the mapping is the identity.
     const MachineId peer = live[selector_.select_on(
@@ -83,13 +76,12 @@ class SequentialPlanner final : public ExchangeLoop {
     if (changed) ++result_.changed_exchanges;
     const Cost cmax = schedule_.makespan();
 
-    // One recording path feeds the RunResult vectors and every obs sink.
+    // One recording path feeds the RunResult trace and every obs sink.
     // exchange.migrations counts kernel moves only; RunReport::migrations
     // also counts churn drains.
     const std::uint64_t moved = schedule_.migrations() - migrations_pre;
     kernel_moves_ += moved;
     if (options_.record_trace) {
-      result_.makespan_trace.push_back(cmax);
       result_.exchange_trace.push_back({cmax, changed, run_migrations()});
     }
     if (c_exchanges_ != nullptr) {
@@ -116,7 +108,6 @@ class SequentialPlanner final : public ExchangeLoop {
   const PeerSelector& selector_;
   stats::Rng& rng_;
   RunResult& result_;
-  const InitiatorPolicy initiator_;
   obs::Counter* const c_exchanges_ = counter("exchange.count");
   obs::Counter* const c_changed_ = counter("exchange.changed");
   obs::Counter* const c_migrations_ = counter("exchange.migrations");

@@ -17,24 +17,15 @@
 
 namespace dlb::dist {
 
-/// How the initiator of each exchange is chosen.
-enum class InitiatorPolicy {
-  /// Every round, each machine initiates once in a fresh random order —
-  /// the closest sequentialisation of "every machine runs the loop".
-  kRoundRobinShuffled,
-  /// Each step draws the initiator uniformly at random.
-  kUniformRandom,
-};
-
-/// The shared fields (cap, stops, trace, obs, churn, checkpoint/halt/resume)
-/// live on ExchangeOptions. The sequential engine's obs sinks: counters
-/// exchange.count / .changed / .migrations; gauge exchange.cmax; tracer
-/// spans "exchange" on the virtual axis of one microsecond per exchange.
-/// One engine epoch is one full pass over the live initiator round. On
-/// resume, `rng` is overwritten with the checkpointed generator state.
-struct EngineOptions : ExchangeOptions {
-  InitiatorPolicy initiator = InitiatorPolicy::kRoundRobinShuffled;
-};
+/// The sequential engine sets nothing beyond the shared ExchangeOptions
+/// (cap, stops, trace, obs, churn, checkpoint/halt/resume). Every round,
+/// each live machine initiates once in a fresh random order — the closest
+/// sequentialisation of "every machine runs the loop"; one engine epoch is
+/// one such round. Its obs sinks: counters exchange.count / .changed /
+/// .migrations; gauge exchange.cmax; tracer spans "exchange" on the
+/// virtual axis of one microsecond per exchange. On resume, `rng` is
+/// overwritten with the checkpointed generator state.
+using EngineOptions = ExchangeOptions;
 
 /// Per-exchange record captured when EngineOptions::record_trace is set.
 struct ExchangeTracePoint {
@@ -47,13 +38,9 @@ struct ExchangeTracePoint {
 };
 
 /// Shared fields live on the RunReport and ExchangeReport bases; the
-/// per-exchange traces below are this engine's own.
+/// per-exchange trace below is this engine's own.
 struct RunResult : ExchangeReport {
-  /// Cmax after each exchange (optional). Kept as a plain vector for the
-  /// existing fig4/fig5 callers; it is a view of the same per-exchange
-  /// recording that feeds `exchange_trace` and the obs tracer.
-  std::vector<Cost> makespan_trace;
-  /// Full per-exchange trace (same length as makespan_trace).
+  /// One point per exchange, filled when record_trace is set.
   std::vector<ExchangeTracePoint> exchange_trace;
 
   /// Exchanges per machine until the threshold (Figure 5's X axis);

@@ -23,8 +23,8 @@
 
 namespace dlb::dist {
 
-/// Options both exchange engines share; EngineOptions and
-/// ParallelEngineOptions add their planner's own.
+/// Options both exchange engines share; ParallelEngineOptions adds its
+/// thread pool.
 struct ExchangeOptions {
   /// Hard cap on executed pairwise exchanges (parallel: sessions).
   std::size_t max_exchanges = 100'000;

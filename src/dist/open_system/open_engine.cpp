@@ -9,7 +9,9 @@
 
 #include "core/cost_model.hpp"
 #include "dist/convergence.hpp"
+#include "dist/exchange_engine.hpp"
 #include "dist/open_system/job_pool.hpp"
+#include "dist/parallel_exchange_engine.hpp"
 #include "obs/metrics.hpp"
 
 namespace dlb::dist {
@@ -99,9 +101,6 @@ stats::Json OpenRunReport::to_json() const {
 
 void OpenRunReport::print(std::ostream& out) const {
   RunReport::print(out);
-  // Closed-mode delegations leave every open field zero; keep their output
-  // byte-identical to the inner engines' classic block.
-  if (jobs_submitted == 0 && events == 0) return;
   out << "jobs submitted  : " << jobs_submitted << "\n"
       << "jobs completed  : " << jobs_completed << "\n"
       << "repair bursts   : " << repair_bursts << "\n"
@@ -121,50 +120,15 @@ void OpenRunReport::print(std::ostream& out) const {
 OpenRunReport OpenSystemEngine::run(Schedule& schedule,
                                     const OpenSystemOptions& options,
                                     std::uint64_t seed) const {
+  if (options.arrivals == nullptr || options.arrivals->trivial()) {
+    throw std::invalid_argument(
+        "OpenSystemEngine: invalid OpenSystemOptions.arrivals: needs a "
+        "non-trivial arrival plan (closed runs use ExchangeEngine / "
+        "ParallelExchangeEngine)");
+  }
   const Instance& instance = schedule.instance();
   const std::size_t m = instance.num_machines();
   const std::size_t n = instance.num_jobs();
-
-  // ----- closed-mode delegation -----
-  if (options.arrivals == nullptr || options.arrivals->trivial()) {
-    if (options.resume != nullptr || options.checkpoint_out != nullptr ||
-        options.checkpoint_every_events != 0 ||
-        options.halt_after_events.has_value()) {
-      reject("arrivals",
-             "open checkpoints need a non-trivial arrival plan (closed-mode "
-             "delegation uses the inner engines' own checkpoint path)");
-    }
-    ExchangeOptions shared;
-    shared.max_exchanges = options.closed_max_exchanges;
-    shared.stop_threshold = options.stop_threshold;
-    shared.stability_check_interval = options.stability_check_interval;
-    shared.record_trace = options.record_trace;
-    shared.obs = options.obs;
-    OpenRunReport report;
-    if (options.parallel_repair) {
-      ParallelEngineOptions inner;
-      static_cast<ExchangeOptions&>(inner) = shared;
-      inner.sessions_per_epoch = options.sessions_per_epoch;
-      inner.pool = options.pool;
-      ParallelRunResult result =
-          ParallelExchangeEngine(*kernel_, *selector_)
-              .run(schedule, inner, seed);
-      static_cast<RunReport&>(report) = result;
-      report.epoch_trace = std::move(result.epoch_trace);
-    } else {
-      EngineOptions inner;
-      static_cast<ExchangeOptions&>(inner) = shared;
-      stats::Rng rng(seed);
-      RunResult result =
-          ExchangeEngine(*kernel_, *selector_).run(schedule, inner, rng);
-      static_cast<RunReport&>(report) = result;
-      report.makespan_trace = std::move(result.makespan_trace);
-      report.exchange_trace = std::move(result.exchange_trace);
-    }
-    return report;
-  }
-
-  // ----- open mode -----
   const ArrivalPlan& plan = *options.arrivals;
   plan.validate();
   const std::size_t total =
@@ -298,7 +262,6 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
     if (options.parallel_repair) {
       ParallelEngineOptions inner;
       static_cast<ExchangeOptions&>(inner) = burst_options;
-      inner.sessions_per_epoch = options.sessions_per_epoch;
       inner.pool = options.pool;
       // One derived seed per burst: pure in the burst index, so a resumed
       // run replays the exact burst the uninterrupted run executed.
@@ -307,10 +270,8 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
       result = ParallelExchangeEngine(*kernel_, *selector_)
                    .run(schedule, inner, this_burst);
     } else {
-      EngineOptions inner;
-      static_cast<ExchangeOptions&>(inner) = burst_options;
       result = ExchangeEngine(*kernel_, *selector_)
-                   .run(schedule, inner, repair_rng);
+                   .run(schedule, burst_options, repair_rng);
     }
     repair_exchanges += result.exchanges;
     repair_changed += result.changed_exchanges;

@@ -18,6 +18,10 @@ namespace {
 /// with the per-session streams derived from the bare seed.
 constexpr std::uint64_t kEpochSalt = 0xA5A5'5A5A'C3C3'3C3CULL;
 
+/// A planned initiator whose drawn peer is already claimed redraws up to
+/// this many times before the session is abandoned as a conflict.
+constexpr std::size_t kMaxPeerRetries = 2;
+
 /// One planned disjoint session: fixed in the sequential plan phase,
 /// executed in parallel, committed in session order.
 struct Session {
@@ -54,7 +58,7 @@ class ParallelPlanner final : public ExchangeLoop {
       : ExchangeLoop(kParallelTraits, schedule, options, kernel, result, seed,
                      plan_bytes(schedule.num_machines())),
         selector_(selector),
-        plan_options_(options),
+        pool_(options.pool),
         stream_seed_(seed),
         result_(result),
         locks_(std::make_unique<std::mutex[]>(schedule.num_machines())),
@@ -95,17 +99,12 @@ class ParallelPlanner final : public ExchangeLoop {
 
   void begin_epoch(std::uint64_t epoch) override {
     const std::vector<MachineId>& live = churn_.live_machines();
-    const std::size_t live_count = live.size();
-    const std::size_t batch_cap =
-        plan_options_.sessions_per_epoch != 0
-            ? std::min(plan_options_.sessions_per_epoch, live_count / 2)
-            : live_count / 2;
     batch_.clear();
     committed_ = false;
     stats::Rng epoch_rng = stats::Rng::stream(stream_seed_ ^ kEpochSalt, epoch);
     stats::shuffle(order_.begin(), order_.end(), epoch_rng);
     const std::size_t budget =
-        std::min(batch_cap, options_.max_exchanges - result_.exchanges);
+        std::min(live.size() / 2, options_.max_exchanges - result_.exchanges);
     for (const MachineId initiator : order_) {
       if (batch_.size() == budget) break;
       if (claimed_[initiator] == epoch) continue;
@@ -113,8 +112,7 @@ class ParallelPlanner final : public ExchangeLoop {
       Session session;
       session.initiator = initiator;
       bool planned = false;
-      for (std::size_t attempt = 0; attempt <= plan_options_.max_peer_retries;
-           ++attempt) {
+      for (std::size_t attempt = 0; attempt <= kMaxPeerRetries; ++attempt) {
         // Peer selection runs over the compacted live machine set; with
         // the whole cluster live the mapping is the identity.
         const MachineId peer = live[selector_.select_on(
@@ -166,8 +164,8 @@ class ParallelPlanner final : public ExchangeLoop {
                              schedule_.arrivals(session.peer) - arrivals_pre;
       }
     };
-    if (plan_options_.pool != nullptr && batch_.size() > 1) {
-      parallel::parallel_for(*plan_options_.pool, batch_.size(), run_range);
+    if (pool_ != nullptr && batch_.size() > 1) {
+      parallel::parallel_for(*pool_, batch_.size(), run_range);
     } else {
       run_range(0, batch_.size());
     }
@@ -208,7 +206,7 @@ class ParallelPlanner final : public ExchangeLoop {
   }
 
   const PeerSelector& selector_;
-  const ParallelEngineOptions& plan_options_;
+  parallel::ThreadPool* const pool_;
   const std::uint64_t stream_seed_;
   ParallelRunResult& result_;
   /// Defense-in-depth per-machine locks, always taken in (min, max) id

@@ -1,10 +1,11 @@
 #pragma once
 
 // The random-exchange dynamic of Section VII run as many *simultaneous*
-// pairwise sessions. Each epoch the coordinator plans a batch of disjoint
-// machine pairs (no machine appears twice), the batch executes in parallel
-// on a thread pool, and the outcomes are committed sequentially in session
-// order. Because
+// pairwise sessions. Each epoch the coordinator plans a batch of up to
+// live/2 disjoint machine pairs (no machine appears twice; an initiator
+// whose drawn peer is claimed redraws at most twice), the batch executes
+// in parallel on a thread pool, and the outcomes are committed
+// sequentially in session order. Because
 //
 //   * all randomness (initiator order, peer draws) is consumed in the
 //     sequential plan phase from per-session streams, and
@@ -38,12 +39,6 @@ namespace dlb::dist {
 /// checkpointed run had; the result is then bitwise identical at any
 /// thread count.
 struct ParallelEngineOptions : ExchangeOptions {
-  /// Disjoint sessions planned per epoch; 0 selects num_machines / 2 (the
-  /// maximum possible, since every session claims two machines).
-  std::size_t sessions_per_epoch = 0;
-  /// A planned initiator whose drawn peer is already claimed redraws up to
-  /// this many times before the session is abandoned as a conflict.
-  std::size_t max_peer_retries = 2;
   /// Pool to execute each epoch's batch on; null runs the batch inline on
   /// the calling thread (the result is identical either way).
   parallel::ThreadPool* pool = nullptr;
@@ -68,7 +63,7 @@ struct EpochTracePoint {
 struct ParallelRunResult : ExchangeReport {
   /// Planned initiators abandoned because every peer draw was claimed.
   std::uint64_t conflicts = 0;
-  /// Peer redraws caused by claimed peers (<= conflicts * max_peer_retries
+  /// Peer redraws caused by claimed peers (<= conflicts * 2
   /// plus the redraws that eventually succeeded).
   std::uint64_t peer_retries = 0;
   std::vector<EpochTracePoint> epoch_trace;

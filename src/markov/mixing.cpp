@@ -9,9 +9,17 @@
 
 namespace dlb::markov {
 
+namespace {
+
+constexpr std::size_t kGapMaxIterations = 200'000;
+constexpr double kGapTolerance = 1e-10;
+constexpr std::size_t kHittingMaxIterations = 1'000'000;
+constexpr double kHittingTolerance = 1e-10;
+
+}  // namespace
+
 SpectralGapResult spectral_gap(const TransitionMatrix& matrix,
-                               const std::vector<StateIndex>& support,
-                               const SpectralGapOptions& options) {
+                               const std::vector<StateIndex>& support) {
   if (support.size() < 2) {
     throw std::invalid_argument("spectral_gap: need >= 2 support states");
   }
@@ -42,15 +50,9 @@ SpectralGapResult spectral_gap(const TransitionMatrix& matrix,
   };
   project_and_normalize(z);
 
-  obs::Metrics* obs_metrics = obs::metrics_of(options.obs);
-  obs::Counter* c_iterations =
-      obs_metrics ? &obs_metrics->counter("markov.power.iterations") : nullptr;
-  obs::Gauge* g_residual =
-      obs_metrics ? &obs_metrics->gauge("markov.power.residual") : nullptr;
-
   SpectralGapResult result;
   double previous = 0.0;
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  for (std::size_t it = 0; it < kGapMaxIterations; ++it) {
     std::fill(next.begin(), next.end(), 0.0);
     for (StateIndex v = 0; v < n; ++v) {
       const double mass = z[v];
@@ -64,14 +66,10 @@ SpectralGapResult spectral_gap(const TransitionMatrix& matrix,
     z.swap(next);
     result.iterations = it + 1;
     result.lambda2 = norm;
-    if (c_iterations) {
-      c_iterations->add();
-      g_residual->set(std::abs(norm - previous));
-    }
     // The growth factor settles once the subdominant mode dominates. Use a
     // relative change criterion on the estimate.
     if (it > 10 && std::abs(norm - previous) <
-                       options.tolerance * std::max(1.0, norm)) {
+                       kGapTolerance * std::max(1.0, norm)) {
       result.converged = true;
       break;
     }
@@ -92,8 +90,7 @@ double HittingTimeResult::worst(
 
 HittingTimeResult expected_hitting_time(const TransitionMatrix& matrix,
                                         const std::vector<StateIndex>& support,
-                                        const std::vector<char>& in_target,
-                                        const HittingTimeOptions& options) {
+                                        const std::vector<char>& in_target) {
   if (in_target.size() != matrix.num_states()) {
     throw std::invalid_argument("expected_hitting_time: target size mismatch");
   }
@@ -109,7 +106,7 @@ HittingTimeResult expected_hitting_time(const TransitionMatrix& matrix,
   // Gauss-Seidel on h = 1 + P h over non-target support states. Self-loops
   // are handled by solving the diagonal term explicitly:
   //   h_s = (1 + sum_{t != s} p_st h_t) / (1 - p_ss).
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  for (std::size_t it = 0; it < kHittingMaxIterations; ++it) {
     double max_change = 0.0;
     for (StateIndex s : support) {
       if (in_target[s]) continue;
@@ -130,7 +127,7 @@ HittingTimeResult expected_hitting_time(const TransitionMatrix& matrix,
       result.expected_steps[s] = updated;
     }
     result.iterations = it + 1;
-    if (max_change < options.tolerance) {
+    if (max_change < kHittingTolerance) {
       result.converged = true;
       break;
     }

@@ -15,17 +15,8 @@
 
 #include "markov/state_space.hpp"
 #include "markov/transitions.hpp"
-#include "obs/obs.hpp"
 
 namespace dlb::markov {
-
-struct SpectralGapOptions {
-  std::size_t max_iterations = 200'000;
-  double tolerance = 1e-10;
-  /// Optional observability sinks (counter markov.power.iterations, gauge
-  /// markov.power.residual). Must outlive the call.
-  const obs::Context* obs = nullptr;
-};
 
 struct SpectralGapResult {
   double lambda2 = 0.0;  ///< |subdominant eigenvalue| estimate.
@@ -39,15 +30,11 @@ struct SpectralGapResult {
 
 /// Power iteration on the sum-zero subspace (the dominant eigenvalue 1 has
 /// right eigenvector 1, so deflation is projection onto sum(z) = 0).
-/// `support` must be a closed communicating class (the sink component).
+/// Stops when the estimate's relative change drops below 1e-10 or after
+/// 200k iterations. `support` must be a closed communicating class (the
+/// sink component).
 [[nodiscard]] SpectralGapResult spectral_gap(
-    const TransitionMatrix& matrix, const std::vector<StateIndex>& support,
-    const SpectralGapOptions& options = {});
-
-struct HittingTimeOptions {
-  std::size_t max_iterations = 1'000'000;
-  double tolerance = 1e-10;
-};
+    const TransitionMatrix& matrix, const std::vector<StateIndex>& support);
 
 struct HittingTimeResult {
   /// h[s] = expected steps from s to the target set (0 inside it); only
@@ -61,13 +48,13 @@ struct HittingTimeResult {
 };
 
 /// Solves h = 1 + P h on the complement of `target` (Gauss-Seidel),
-/// restricted to `support`. Every state of `support` must reach `target`
-/// with probability 1 (true when support is the sink component and target
-/// is non-empty inside it).
+/// restricted to `support`, until no entry moves by 1e-10 or after 1M
+/// sweeps. Every state of `support` must reach `target` with probability 1
+/// (true when support is the sink component and target is non-empty
+/// inside it).
 [[nodiscard]] HittingTimeResult expected_hitting_time(
     const TransitionMatrix& matrix, const std::vector<StateIndex>& support,
-    const std::vector<char>& in_target,
-    const HittingTimeOptions& options = {});
+    const std::vector<char>& in_target);
 
 /// Total-variation distance to the stationary distribution after each of
 /// `steps` chain steps, starting from the point mass on `start`. This is

@@ -5,9 +5,16 @@
 
 namespace dlb::markov {
 
-StationaryResult stationary_distribution(const TransitionMatrix& matrix,
-                                         const std::vector<StateIndex>& support,
-                                         const StationaryOptions& options) {
+namespace {
+
+constexpr std::size_t kMaxIterations = 100'000;
+/// Stop when the L1 change between successive iterates drops below this.
+constexpr double kTolerance = 1e-12;
+
+}  // namespace
+
+StationaryResult stationary_distribution(
+    const TransitionMatrix& matrix, const std::vector<StateIndex>& support) {
   if (support.empty()) {
     throw std::invalid_argument("stationary_distribution: empty support");
   }
@@ -18,14 +25,8 @@ StationaryResult stationary_distribution(const TransitionMatrix& matrix,
     result.pi[s] = 1.0 / static_cast<double>(support.size());
   }
 
-  obs::Metrics* metrics = obs::metrics_of(options.obs);
-  obs::Counter* c_iterations =
-      metrics ? &metrics->counter("markov.stationary.iterations") : nullptr;
-  obs::Gauge* g_residual =
-      metrics ? &metrics->gauge("markov.stationary.residual") : nullptr;
-
   std::vector<double> next(n, 0.0);
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  for (std::size_t it = 0; it < kMaxIterations; ++it) {
     std::fill(next.begin(), next.end(), 0.0);
     for (StateIndex v = 0; v < n; ++v) {
       const double mass = result.pi[v];
@@ -42,11 +43,7 @@ StationaryResult stationary_distribution(const TransitionMatrix& matrix,
     result.pi.swap(next);
     result.iterations = it + 1;
     result.residual = diff;
-    if (c_iterations) {
-      c_iterations->add();
-      g_residual->set(diff);
-    }
-    if (diff < options.tolerance) {
+    if (diff < kTolerance) {
       result.converged = true;
       break;
     }

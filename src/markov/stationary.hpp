@@ -10,18 +10,8 @@
 #include <vector>
 
 #include "markov/transitions.hpp"
-#include "obs/obs.hpp"
 
 namespace dlb::markov {
-
-struct StationaryOptions {
-  std::size_t max_iterations = 100'000;
-  /// Stop when the L1 change between successive iterates drops below this.
-  double tolerance = 1e-12;
-  /// Optional observability sinks (counter markov.stationary.iterations,
-  /// gauge markov.stationary.residual). Must outlive the call.
-  const obs::Context* obs = nullptr;
-};
 
 struct StationaryResult {
   /// Probability per state (0 outside the starting support's closure).
@@ -32,10 +22,10 @@ struct StationaryResult {
 };
 
 /// Power iteration x <- xP starting uniform on `support` (typically the
-/// sink states). The support must be closed under the chain for the result
-/// to be a distribution on it.
+/// sink states), until the L1 change between successive iterates drops
+/// below 1e-12 or 100k iterations. The support must be closed under the
+/// chain for the result to be a distribution on it.
 [[nodiscard]] StationaryResult stationary_distribution(
-    const TransitionMatrix& matrix, const std::vector<StateIndex>& support,
-    const StationaryOptions& options = {});
+    const TransitionMatrix& matrix, const std::vector<StateIndex>& support);
 
 }  // namespace dlb::markov

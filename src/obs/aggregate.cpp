@@ -89,27 +89,13 @@ stats::Json merge_metrics_snapshots(
 
   stats::Json histograms_out = stats::Json::object();
   for (const auto& [name, merged] : histograms) {
-    // Rebuild a Histogram::Snapshot so quantile bounds come from the same
-    // code path as a single-process export.
+    // Rebuild a Histogram::Snapshot so the entry comes from the same code
+    // path as a single-process export.
     Histogram::Snapshot snap;
     snap.count = merged.count;
     snap.sum = merged.sum;
     snap.buckets.assign(merged.buckets.begin(), merged.buckets.end());
-    stats::Json entry = stats::Json::object();
-    entry["count"] = snap.count;
-    entry["sum"] = snap.sum;
-    entry["p50_bound"] = snap.quantile_bound(0.5);
-    entry["p95_bound"] = snap.quantile_bound(0.95);
-    entry["p99_bound"] = snap.quantile_bound(0.99);
-    stats::Json buckets = stats::Json::array();
-    for (const auto& [bound, n] : snap.buckets) {
-      stats::Json bucket = stats::Json::object();
-      bucket["le"] = bound;
-      bucket["count"] = n;
-      buckets.push_back(std::move(bucket));
-    }
-    entry["buckets"] = std::move(buckets);
-    histograms_out[name] = std::move(entry);
+    histograms_out[name] = snap.to_json();
   }
   doc["histograms"] = std::move(histograms_out);
   return doc;

@@ -47,6 +47,24 @@ double Histogram::Snapshot::quantile_bound(double q) const noexcept {
   return buckets.empty() ? 0.0 : buckets.back().first;
 }
 
+stats::Json Histogram::Snapshot::to_json() const {
+  stats::Json entry = stats::Json::object();
+  entry["count"] = count;
+  entry["sum"] = sum;
+  entry["p50_bound"] = quantile_bound(0.5);
+  entry["p95_bound"] = quantile_bound(0.95);
+  entry["p99_bound"] = quantile_bound(0.99);
+  stats::Json bucket_list = stats::Json::array();
+  for (const auto& [bound, n] : buckets) {
+    stats::Json bucket = stats::Json::object();
+    bucket["le"] = bound;
+    bucket["count"] = n;
+    bucket_list.push_back(std::move(bucket));
+  }
+  entry["buckets"] = std::move(bucket_list);
+  return entry;
+}
+
 namespace {
 
 template <typename Map>
@@ -102,22 +120,7 @@ stats::Json Metrics::snapshot() const {
 
   stats::Json histograms = stats::Json::object();
   for (const auto& [name, handle] : histograms_) {
-    const Histogram::Snapshot snap = handle->snapshot();
-    stats::Json entry = stats::Json::object();
-    entry["count"] = snap.count;
-    entry["sum"] = snap.sum;
-    entry["p50_bound"] = snap.quantile_bound(0.5);
-    entry["p95_bound"] = snap.quantile_bound(0.95);
-    entry["p99_bound"] = snap.quantile_bound(0.99);
-    stats::Json buckets = stats::Json::array();
-    for (const auto& [bound, n] : snap.buckets) {
-      stats::Json bucket = stats::Json::object();
-      bucket["le"] = bound;
-      bucket["count"] = n;
-      buckets.push_back(std::move(bucket));
-    }
-    entry["buckets"] = std::move(buckets);
-    histograms[name] = std::move(entry);
+    histograms[name] = handle->snapshot().to_json();
   }
   doc["histograms"] = std::move(histograms);
   return doc;

@@ -77,6 +77,9 @@ class Histogram {
 
     /// Upper bound of the bucket holding the q-quantile (0 when empty).
     [[nodiscard]] double quantile_bound(double q) const noexcept;
+    /// The export shape: count, sum, p50/p95/p99 bounds and the non-zero
+    /// buckets — one code path for a process's own snapshot and a merge.
+    [[nodiscard]] stats::Json to_json() const;
   };
   [[nodiscard]] Snapshot snapshot() const;
 

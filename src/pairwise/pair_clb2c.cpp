@@ -42,15 +42,6 @@ void deal_sorted_pool(const Instance& instance, MachineId a, MachineId b,
 
 }  // namespace
 
-void pair_clb2c_split(const Instance& instance, MachineId a, MachineId b,
-                      std::vector<JobId> pool, std::vector<JobId>& to_a,
-                      std::vector<JobId>& to_b) {
-  // Jobs that favour a's cluster come first, jobs that favour b's come last.
-  sort_by_group_ratio(instance, instance.group_of(a), instance.group_of(b),
-                      pool);
-  deal_sorted_pool(instance, a, b, pool, to_a, to_b);
-}
-
 bool PairClb2cKernel::balance(Schedule& schedule, MachineId a,
                               MachineId b) const {
   const Instance& instance = schedule.decision_instance();

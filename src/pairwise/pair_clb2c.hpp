@@ -8,13 +8,6 @@
 
 namespace dlb::pairwise {
 
-/// Computes the pair-CLB2C split of `pool` between machine a (whose cluster
-/// plays the role of M1) and machine b (M2), starting from empty loads.
-/// `pool` may be in any order; it is ratio-sorted internally.
-void pair_clb2c_split(const Instance& instance, MachineId a, MachineId b,
-                      std::vector<JobId> pool, std::vector<JobId>& to_a,
-                      std::vector<JobId>& to_b);
-
 class PairClb2cKernel final : public PairKernel {
  public:
   /// a and b must belong to different groups of a two-group instance.

@@ -8,6 +8,9 @@ namespace dlb::ws {
 
 namespace {
 
+/// Safety cap on simulation events.
+constexpr std::uint64_t kMaxEvents = 50'000'000;
+
 class Simulation {
  public:
   Simulation(const Instance& instance, const Assignment& initial,
@@ -45,7 +48,7 @@ class Simulation {
     for (MachineId i = 0; i < instance_.num_machines(); ++i) {
       engine_.schedule_at(0.0, [this, i] { activate(i); });
     }
-    engine_.run(options_.max_events);
+    engine_.run(kMaxEvents);
     result_.converged = remaining_ == 0;
     result_.final_makespan = *std::max_element(
         result_.machine_finish.begin(), result_.machine_finish.end());

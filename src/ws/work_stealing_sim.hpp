@@ -39,8 +39,6 @@ struct WsOptions {
   /// Back-off before an idle machine retries after finding an empty victim;
   /// must be > 0 (a zero delay could livelock simulated time).
   des::SimTime retry_delay = 0.01;
-  /// Safety cap on simulation events.
-  std::uint64_t max_events = 50'000'000;
   std::uint64_t seed = 1;
 };
 
@@ -51,7 +49,7 @@ struct WsOptions {
 ///     (when the last job finished);
 ///   * exchanges — steal attempts (the pairwise interactions);
 ///   * migrations — jobs actually stolen;
-///   * converged — all jobs finished within the event budget.
+///   * converged — all jobs finished within the 50M-event safety cap.
 struct WsResult : dist::RunReport {
   std::uint64_t successful_steals = 0;
   /// Time of the first steal attempt / first successful steal

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/generators.hpp"
+#include "core/numa.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb {
@@ -188,6 +191,22 @@ TEST(ScheduleProperty, RandomMoveSequencePreservesConsistency) {
     max_load = std::max(max_load, s.load(i));
   }
   EXPECT_DOUBLE_EQ(s.makespan(), max_load);
+}
+
+TEST(Numa, ShardedFirstTouchZeroFillsEveryByte) {
+  // Five pages and a partial sixth over four shards: two pages per shard,
+  // the third shard ends mid-page and the fourth has nothing to fill.
+  constexpr std::size_t kBytes = 5 * core::numa::kPageSize + 123;
+  constexpr std::size_t kGuard = 64;
+  const core::numa::Slab slab = core::numa::alloc_slab(kBytes + kGuard);
+  std::memset(slab.get(), 0xAB, kBytes + kGuard);
+  core::numa::first_touch(slab.get(), kBytes, 4);
+  for (std::size_t k = 0; k < kBytes; ++k) {
+    ASSERT_EQ(slab[k], std::byte{0}) << "byte " << k;
+  }
+  for (std::size_t k = kBytes; k < kBytes + kGuard; ++k) {
+    ASSERT_EQ(slab[k], std::byte{0xAB}) << "guard byte " << k;
+  }
 }
 
 }  // namespace

@@ -300,99 +300,30 @@ Outcome run_open(const Instance& instance, OpenSystemOptions options,
           report.makespan_trace};
 }
 
-// ----- closed-mode delegation: the zero-arrival byte-identity gate -----
-
-TEST(OpenSystemEngine, ClosedSequentialDelegationIsByteIdentical) {
-  const Instance instance = gen::two_cluster_uniform(4, 3, 40, 1.0, 100.0, 2);
-  const Assignment initial = gen::random_assignment(instance, 4);
-  const pairwise::PairKernel& kernel =
-      pairwise::kernel_registry().get("basic-greedy");
-  const UniformPeerSelector selector;
-
-  obs::Metrics inner_metrics;
-  obs::Tracer inner_tracer;
-  const obs::Context inner_context{&inner_metrics, &inner_tracer};
-  EngineOptions classic;
-  classic.max_exchanges = 200;
-  classic.record_trace = true;
-  classic.obs = &inner_context;
-  Schedule reference(instance, initial);
-  stats::Rng rng(kSeed);
-  const RunResult expected =
-      ExchangeEngine(kernel, selector).run(reference, classic, rng);
-
-  obs::Metrics open_metrics;
-  obs::Tracer open_tracer;
-  const obs::Context open_context{&open_metrics, &open_tracer};
-  OpenSystemOptions options;  // arrivals == nullptr: closed mode.
-  options.closed_max_exchanges = 200;
-  options.record_trace = true;
-  options.obs = &open_context;
-  Schedule delegated(instance, initial);
-  const OpenRunReport actual =
-      OpenSystemEngine(kernel, selector).run(delegated, options, kSeed);
-
-  EXPECT_EQ(delegated.fingerprint(), reference.fingerprint());
-  EXPECT_EQ(static_cast<const RunReport&>(actual).to_json().dump(),
-            static_cast<const RunReport&>(expected).to_json().dump());
-  EXPECT_EQ(actual.makespan_trace, expected.makespan_trace);
-  ASSERT_EQ(actual.exchange_trace.size(), expected.exchange_trace.size());
-  EXPECT_EQ(open_metrics.snapshot().dump(), inner_metrics.snapshot().dump());
-  ASSERT_EQ(open_tracer.events().size(), inner_tracer.events().size());
-  for (std::size_t k = 0; k < open_tracer.events().size(); ++k) {
-    EXPECT_TRUE(same_event(open_tracer.events()[k], inner_tracer.events()[k]))
-        << "trace event " << k;
-  }
-  // Closed-mode reports print the classic block only.
-  std::ostringstream classic_text;
-  expected.print(classic_text);
-  std::ostringstream open_text;
-  actual.print(open_text);
-  EXPECT_EQ(open_text.str(), classic_text.str());
-}
-
-TEST(OpenSystemEngine, TrivialPlanDelegatesToTheParallelEngine) {
-  const Instance instance = gen::two_cluster_uniform(3, 3, 36, 1.0, 100.0, 6);
-  const Assignment initial = gen::random_assignment(instance, 7);
-  const pairwise::PairKernel& kernel =
-      pairwise::kernel_registry().get("basic-greedy");
-  const UniformPeerSelector selector;
-
-  ParallelEngineOptions classic;
-  classic.max_exchanges = 120;
-  classic.record_trace = true;
-  Schedule reference(instance, initial);
-  const ParallelRunResult expected =
-      ParallelExchangeEngine(kernel, selector).run(reference, classic, kSeed);
-
-  const ArrivalPlan trivial_plan;  // kind == kNone: still closed mode.
-  OpenSystemOptions options;
-  options.arrivals = &trivial_plan;
-  options.parallel_repair = true;
-  options.closed_max_exchanges = 120;
-  options.record_trace = true;
-  Schedule delegated(instance, initial);
-  const OpenRunReport actual =
-      OpenSystemEngine(kernel, selector).run(delegated, options, kSeed);
-
-  EXPECT_EQ(delegated.fingerprint(), reference.fingerprint());
-  EXPECT_EQ(static_cast<const RunReport&>(actual).to_json().dump(),
-            static_cast<const RunReport&>(expected).to_json().dump());
-  ASSERT_EQ(actual.epoch_trace.size(), expected.epoch_trace.size());
-  for (std::size_t k = 0; k < actual.epoch_trace.size(); ++k) {
-    EXPECT_EQ(actual.epoch_trace[k].makespan, expected.epoch_trace[k].makespan);
-  }
-}
+// ----- closed runs are rejected -----
 
 TEST(OpenSystemEngine, ClosedModeRejectsOpenCheckpointOptions) {
   const Instance instance = gen::identical_uniform(2, 8, 1.0, 10.0, 1);
   const UniformPeerSelector selector;
   const OpenSystemEngine engine(
       pairwise::kernel_registry().get("basic-greedy"), selector);
-  OpenSystemOptions options;
-  options.halt_after_events = 5;
-  Schedule schedule(instance, gen::random_assignment(instance, 1));
-  EXPECT_THROW(engine.run(schedule, options, kSeed), std::invalid_argument);
+  const ArrivalPlan trivial_plan;  // kind == kNone.
+  for (const ArrivalPlan* plan : {static_cast<const ArrivalPlan*>(nullptr),
+                                  &trivial_plan}) {
+    OpenSystemOptions options;
+    options.arrivals = plan;
+    options.halt_after_events = 5;
+    Schedule schedule(instance, gen::random_assignment(instance, 1));
+    try {
+      (void)engine.run(schedule, options, kSeed);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "OpenSystemEngine: invalid OpenSystemOptions.arrivals: "
+                   "needs a non-trivial arrival plan (closed runs use "
+                   "ExchangeEngine / ParallelExchangeEngine)");
+    }
+  }
 }
 
 // ----- open mode: conservation, preconditions, report shape -----

@@ -136,13 +136,15 @@ TEST(PairClb2c, PairMakespanWithin2xOfPairOptimal) {
 }
 
 TEST(PairClb2cSplit, SplitsFromEmptyLoads) {
+  // Both first picks complete at 3: the tie goes to machine a, and the
+  // split ignores where the jobs started.
   const Instance inst =
       Instance::clustered({1, 1}, {{3.0, 4.0}, {4.0, 3.0}});
-  std::vector<JobId> to_a;
-  std::vector<JobId> to_b;
-  pair_clb2c_split(inst, 0, 1, {0, 1}, to_a, to_b);
-  EXPECT_EQ(to_a, (std::vector<JobId>{0}));
-  EXPECT_EQ(to_b, (std::vector<JobId>{1}));
+  Schedule s(inst, Assignment::all_on(2, 1));
+  EXPECT_TRUE(PairClb2cKernel().balance(s, 0, 1));
+  EXPECT_EQ(s.machine_of(0), 0u);
+  EXPECT_EQ(s.machine_of(1), 1u);
+  EXPECT_DOUBLE_EQ(s.makespan(), 3.0);
 }
 
 }  // namespace

@@ -177,17 +177,18 @@ TEST(ParallelExchangeEngine, EpochTraceEndsAtFinalMakespan) {
 }
 
 TEST(ParallelExchangeEngine, SessionsPerEpochBoundsBatches) {
+  // Every session claims two machines, so an epoch holds at most m/2.
   const Instance inst = gen::identical_uniform(10, 100, 1.0, 10.0, 20);
   Schedule s(inst, Assignment::all_on(100, 0));
   ParallelEngineOptions options = capped(40);
-  options.sessions_per_epoch = 2;
   options.record_trace = true;
   const ParallelRunResult result =
       ParallelExchangeEngine(greedy(), uniform()).run(s, options, 21);
+  ASSERT_FALSE(result.epoch_trace.empty());
   for (const EpochTracePoint& point : result.epoch_trace) {
-    EXPECT_LE(point.sessions, 2u);
+    EXPECT_LE(point.sessions, 5u);
   }
-  EXPECT_GE(result.epochs, 20u);
+  EXPECT_GE(result.epochs, 8u);
 }
 
 TEST(ParallelExchangeEngine, RejectsDegenerateInputs) {
