@@ -12,12 +12,17 @@ namespace dlb {
 Schedule::Schedule(const Instance& instance)
     : instance_(&instance),
       assignment_(instance.num_jobs()),
-      table_(instance.num_machines(), instance.num_jobs()) {}
+      table_(instance.num_machines(), instance.num_jobs()),
+      max_tree_((instance.num_machines() + kLoadBlock - 1) / kLoadBlock) {
+  max_tree_.mark_all();
+}
 
 Schedule::Schedule(const Instance& instance, Assignment assignment)
     : instance_(&instance),
       assignment_(std::move(assignment)),
-      table_(instance.num_machines(), instance.num_jobs()) {
+      table_(instance.num_machines(), instance.num_jobs()),
+      max_tree_((instance.num_machines() + kLoadBlock - 1) / kLoadBlock) {
+  max_tree_.mark_all();
   if (assignment_.num_jobs() != instance.num_jobs()) {
     throw std::invalid_argument("Schedule: assignment/instance job mismatch");
   }
@@ -39,9 +44,7 @@ Schedule::Schedule(const Schedule& other)
       assignment_(other.assignment_),
       table_(other.table_),
       migrations_(other.migrations()),
-      cached_makespan_(other.cached_makespan_),
-      makespan_dirty_(
-          other.makespan_dirty_.load(std::memory_order_relaxed)) {}
+      max_tree_(other.max_tree_) {}
 
 Schedule& Schedule::operator=(const Schedule& other) {
   if (this == &other) return *this;
@@ -51,10 +54,7 @@ Schedule& Schedule::operator=(const Schedule& other) {
   assignment_ = other.assignment_;
   table_ = other.table_;
   migrations_.store(other.migrations(), std::memory_order_relaxed);
-  cached_makespan_ = other.cached_makespan_;
-  makespan_dirty_.store(
-      other.makespan_dirty_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  max_tree_ = other.max_tree_;
   return *this;
 }
 
@@ -82,19 +82,26 @@ void Schedule::set_decision_instance(
 }
 
 Cost Schedule::makespan() const {
-  if (makespan_dirty_.load(std::memory_order_relaxed)) {
-    const std::span<const Cost> loads = table_.loads();
-    cached_makespan_ =
-        loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-    makespan_dirty_.store(false, std::memory_order_relaxed);
-  }
-  return cached_makespan_;
+  return table_.num_machines() == 0 ? 0.0 : table_.load(argmax_load());
 }
 
 MachineId Schedule::argmax_load() const {
+  // A block's candidate is its first maximal load and a tie between blocks
+  // keeps the lower one, so the winner is std::max_element's pick.
   const std::span<const Cost> loads = table_.loads();
-  return static_cast<MachineId>(
-      std::max_element(loads.begin(), loads.end()) - loads.begin());
+  max_tree_.repair(
+      [&](std::size_t block) {
+        const auto first = loads.begin() + block * kLoadBlock;
+        const auto last =
+            loads.begin() + std::min(loads.size(), (block + 1) * kLoadBlock);
+        return static_cast<std::uint32_t>(std::max_element(first, last) -
+                                          loads.begin());
+      },
+      [&](std::uint32_t right, std::uint32_t left) {
+        return loads[left] < loads[right];
+      });
+  const std::uint32_t winner = max_tree_.winner();
+  return winner == WinnerTree::kNone ? 0 : winner;
 }
 
 void Schedule::assign(JobId j, MachineId i) {
@@ -104,7 +111,7 @@ void Schedule::assign(JobId j, MachineId i) {
   assignment_.assign(j, i);
   table_.attach(j, i, instance_->cost(i, j), /*migrated=*/false);
   if (decision_instance_) decision_loads_[i] += decision_instance_->cost(i, j);
-  mark_dirty();
+  mark_dirty(i);
 }
 
 void Schedule::move(JobId j, MachineId to) {
@@ -122,7 +129,8 @@ void Schedule::move(JobId j, MachineId to) {
     decision_loads_[to] += decision_instance_->cost(to, j);
   }
   migrations_.fetch_add(1, std::memory_order_relaxed);
-  mark_dirty();
+  mark_dirty(from);
+  mark_dirty(to);
 }
 
 void Schedule::unassign(JobId j) {
@@ -133,7 +141,7 @@ void Schedule::unassign(JobId j) {
     decision_loads_[from] -= decision_instance_->cost(from, j);
   }
   assignment_.unassign(j);
-  mark_dirty();
+  mark_dirty(from);
 }
 
 void Schedule::restore_loads(const std::vector<Cost>& loads) {
@@ -146,7 +154,7 @@ void Schedule::restore_loads(const std::vector<Cost>& loads) {
   for (MachineId i = 0; i < loads.size(); ++i) {
     table_.set_load(i, loads[i]);
   }
-  mark_dirty();
+  max_tree_.mark_all();
 }
 
 std::uint64_t Schedule::fingerprint() const {

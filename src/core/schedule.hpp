@@ -6,13 +6,16 @@
 // balancing kernel and simulator operates on.
 //
 // Storage: per-machine state lives in a LoadTable (contiguous pooled
-// arrays), so moving a job is O(1) and allocation-free. Concurrency
-// contract (what ParallelExchangeEngine relies on; see
-// docs/parallelism.md): mutations on disjoint machine pairs may run
-// concurrently — they touch disjoint LoadTable entries and disjoint
-// assignment slots, while the global migration total and the
-// makespan-dirty flag are relaxed atomics. makespan(), fingerprint() and
-// the other whole-schedule reads must not race with any mutation.
+// arrays), so moving a job is O(1) and allocation-free. The makespan is
+// kept by a WinnerTree over blocks of kLoadBlock machines: a mutation only
+// flags its machines' blocks, and makespan() rescans the flagged blocks and
+// replays their paths. Concurrency contract (what ParallelExchangeEngine
+// relies on; see docs/parallelism.md): mutations on disjoint machine pairs
+// may run concurrently — they touch disjoint LoadTable entries and
+// disjoint assignment slots, while the global migration total and the
+// tree's per-node dirty flags are relaxed atomics. makespan(),
+// argmax_load(), fingerprint() and the other whole-schedule reads must not
+// race with any mutation.
 
 #include <atomic>
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include "core/instance.hpp"
 #include "core/load_table.hpp"
 #include "core/types.hpp"
+#include "core/winner_tree.hpp"
 
 namespace dlb {
 
@@ -38,8 +42,8 @@ class Schedule {
   /// assignment.
   Schedule(const Instance& instance, Assignment assignment);
 
-  // The atomic members (migration total, makespan cache flag) are not
-  // copyable by default; copies snapshot their current values.
+  // The atomic members (migration total, the max-load tree's flags) are
+  // not copyable by default; copies snapshot their current values.
   Schedule(const Schedule& other);
   Schedule& operator=(const Schedule& other);
 
@@ -95,11 +99,15 @@ class Schedule {
     return table_.load(i);
   }
 
-  /// Cmax = max_i C(i). O(m) on first call after a mutation, then cached.
-  /// Whole-schedule read: never call concurrently with a mutation.
+  /// Cmax = max_i C(i), bitwise the load std::max_element would pick.
+  /// Rescans only the blocks mutated since the last call, then replays
+  /// their tree paths: O(kLoadBlock + log m) per dirty block, O(1) when
+  /// nothing changed. Whole-schedule read: never call concurrently with a
+  /// mutation.
   [[nodiscard]] Cost makespan() const;
 
-  /// Machine currently holding the makespan (smallest id on ties).
+  /// Machine currently holding the makespan (smallest id on ties; 0 when
+  /// there are no machines). Same cost and contract as makespan().
   [[nodiscard]] MachineId argmax_load() const;
 
   [[nodiscard]] MachineId machine_of(JobId j) const noexcept {
@@ -165,15 +173,23 @@ class Schedule {
   /// recomputing from the assignment is only equal up to rounding.
   void restore_loads(const std::vector<Cost>& loads);
 
+  /// Overwrites machine i's load accumulator alone (the transport runner
+  /// re-sums a session's two rows in canonical job order).
+  void restore_load(MachineId i, Cost load) noexcept {
+    table_.set_load(i, load);
+    mark_dirty(i);
+  }
+
   /// Recomputes loads from scratch and checks internal consistency.
   /// Returns true if the incremental state matches (tests use this to
   /// guard against drift; tolerance covers FP accumulation error).
   [[nodiscard]] bool check_consistency(double tol = 1e-6) const;
 
  private:
-  void mark_dirty() noexcept {
-    makespan_dirty_.store(true, std::memory_order_relaxed);
-  }
+  /// Machines per leaf of the max-load tree (512 bytes of loads).
+  static constexpr std::size_t kLoadBlock = 64;
+
+  void mark_dirty(MachineId i) noexcept { max_tree_.mark(i / kLoadBlock); }
 
   const Instance* instance_;
   std::shared_ptr<const Instance> decision_instance_;
@@ -183,8 +199,8 @@ class Schedule {
   Assignment assignment_;
   LoadTable table_;
   std::atomic<std::uint64_t> migrations_{0};
-  mutable Cost cached_makespan_ = 0.0;
-  mutable std::atomic<bool> makespan_dirty_{true};
+  /// Max-load tree over kLoadBlock-machine blocks (see makespan()).
+  mutable WinnerTree max_tree_;
 };
 
 }  // namespace dlb

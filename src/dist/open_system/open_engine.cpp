@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/cost_model.hpp"
+#include "core/winner_tree.hpp"
 #include "dist/convergence.hpp"
 #include "dist/exchange_engine.hpp"
 #include "dist/open_system/job_pool.hpp"
@@ -171,6 +172,17 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   std::uint64_t repair_migrations = 0;
   std::uint64_t repair_changed = 0;
 
+  // The next completion: a min-tree over the in-service machines keyed by
+  // (busy_until, machine id) -- the machine a strict-< scan would pick.
+  WinnerTree next_done(m);
+  const auto earlier = [&](std::uint32_t right, std::uint32_t left) {
+    return busy_until[right] < busy_until[left];
+  };
+  const auto refresh = [&](MachineId i) {
+    next_done.update(i, in_service[i] != kNoJob ? i : WinnerTree::kNone,
+                     earlier);
+  };
+
   if (options.resume != nullptr) {
     const OpenCheckpoint& ck = *options.resume;
     if (ck.seed != seed) {
@@ -202,6 +214,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
     for (std::size_t k = 0; k < submitted; ++k) {
       arrival_time[pool.order()[k]] = arrivals[k];
     }
+    for (MachineId i = 0; i < m; ++i) refresh(i);
   } else {
     for (JobId j = 0; j < n; ++j) {
       if (schedule.machine_of(j) != kUnassigned) {
@@ -245,10 +258,12 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
         next = j;
       }
     }
-    if (next == kNoJob) return;
-    schedule.unassign(next);
-    in_service[i] = next;
-    busy_until[i] = now + service_time(i, next);
+    if (next != kNoJob) {
+      schedule.unassign(next);
+      in_service[i] = next;
+      busy_until[i] = now + service_time(i, next);
+    }
+    refresh(i);
   };
 
   const bool repair_enabled = options.repair_every > 0.0 &&
@@ -333,17 +348,9 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   // ----- event loop: completion < arrival < repair on time ties -----
   bool halted = false;
   for (;;) {
-    double t_comp = 0.0;
-    MachineId comp_machine = 0;
-    bool have_comp = false;
-    for (MachineId i = 0; i < m; ++i) {
-      if (in_service[i] == kNoJob) continue;
-      if (!have_comp || busy_until[i] < t_comp) {
-        t_comp = busy_until[i];
-        comp_machine = i;
-        have_comp = true;
-      }
-    }
+    const MachineId comp_machine = next_done.winner();
+    const bool have_comp = comp_machine != WinnerTree::kNone;
+    const double t_comp = have_comp ? busy_until[comp_machine] : 0.0;
     const bool have_arr = submitted < total;
     if (!have_comp && !have_arr) break;  // Drained: nothing can happen.
     const double t_arr = have_arr ? arrivals[submitted] : 0.0;

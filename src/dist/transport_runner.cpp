@@ -130,13 +130,8 @@ std::vector<JobId> TransportRunner::sorted_jobs(MachineId machine) const {
 }
 
 void TransportRunner::canonicalize_rows(MachineId a, MachineId b) {
-  std::vector<Cost> loads(replica_->num_machines());
-  for (MachineId i = 0; i < loads.size(); ++i) {
-    loads[i] = replica_->load(i);
-  }
-  loads[a] = canonical_load(a);
-  loads[b] = canonical_load(b);
-  replica_->restore_loads(loads);
+  replica_->restore_load(a, canonical_load(a));
+  replica_->restore_load(b, canonical_load(b));
 }
 
 void TransportRunner::start() {

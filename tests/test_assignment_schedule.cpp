@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <numeric>
+#include <vector>
 
 #include "core/generators.hpp"
 #include "core/numa.hpp"
+#include "core/winner_tree.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb {
@@ -191,6 +197,155 @@ TEST(ScheduleProperty, RandomMoveSequencePreservesConsistency) {
     max_load = std::max(max_load, s.load(i));
   }
   EXPECT_DOUBLE_EQ(s.makespan(), max_load);
+}
+
+// makespan() and argmax_load() against a from-scratch std::max_element:
+// the same machine and the same load bits (a -0.0 first beats a later
+// 0.0).
+void expect_scan_pick(const Schedule& s) {
+  std::vector<Cost> loads(s.num_machines());
+  for (MachineId i = 0; i < loads.size(); ++i) loads[i] = s.load(i);
+  const auto it = std::max_element(loads.begin(), loads.end());
+  ASSERT_EQ(s.argmax_load(), static_cast<MachineId>(it - loads.begin()));
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(s.makespan()),
+            std::bit_cast<std::uint64_t>(*it));
+}
+
+TEST(ScheduleProperty, MakespanTreeMatchesMaxElementUnderRandomEdits) {
+  // Identical machines with costs 1..3 tie loads all the time; restored
+  // loads add signed zeros. Machine counts straddle the tree's blocks.
+  const std::vector<Cost> restore_values = {-0.0, 0.0, 1.0, 2.0, 3.0};
+  for (const std::size_t m : {1u, 2u, 63u, 64u, 65u, 130u, 300u}) {
+    stats::Rng rng(1000 + m);
+    std::vector<Cost> costs(4 * m);
+    for (Cost& c : costs) c = static_cast<Cost>(1 + rng.below(3));
+    const Instance inst = Instance::identical(m, costs);
+    Schedule s(inst, gen::random_assignment(inst, 7 + m));
+    expect_scan_pick(s);
+    for (int step = 0; step < 3000; ++step) {
+      const auto j = static_cast<JobId>(rng.below(inst.num_jobs()));
+      const auto i = static_cast<MachineId>(rng.below(m));
+      switch (rng.below(20)) {
+        case 0: {
+          std::vector<Cost> loads(m);
+          for (Cost& l : loads) {
+            l = restore_values[rng.below(restore_values.size())];
+          }
+          s.restore_loads(loads);
+          break;
+        }
+        case 1: {
+          Schedule copy(s);  // Mutating the copy must leave s's tree alone.
+          copy.move(j, i);
+          expect_scan_pick(copy);
+          expect_scan_pick(s);
+          s = copy;
+          break;
+        }
+        case 2: {
+          Schedule other(inst);
+          (void)other.makespan();
+          other = s;
+          s.unassign(j);
+          expect_scan_pick(other);
+          s = other;
+          break;
+        }
+        case 3:
+        case 4:
+          s.unassign(j);
+          break;
+        case 5:
+          s.restore_load(i, restore_values[rng.below(restore_values.size())]);
+          break;
+        default:
+          if (s.machine_of(j) == kUnassigned) {
+            s.assign(j, i);
+          } else {
+            s.move(j, i);
+          }
+      }
+      // Let several edits pile up between reads now and then.
+      if (rng.below(3) == 0) expect_scan_pick(s);
+    }
+    expect_scan_pick(s);
+  }
+}
+
+TEST(WinnerTree, MatchesStrictMinScanWithEmptySlots) {
+  // A min-tree over a sparse row, kept eagerly (update) and lazily
+  // (mark + repair) side by side; both must name the strict-< scan's
+  // pick, ties and signed zeros included.
+  const std::vector<double> pool = {-0.0, 0.0, 1.0, 1.0, 2.0};
+  for (const std::size_t n : {1u, 5u, 8u, 37u}) {
+    stats::Rng rng(n);
+    std::vector<double> key(n, 0.0);
+    std::vector<bool> present(n, false);
+    const auto earlier = [&](std::uint32_t right, std::uint32_t left) {
+      return key[right] < key[left];
+    };
+    const auto leaf = [&](std::size_t slot) {
+      return present[slot] ? static_cast<std::uint32_t>(slot)
+                           : WinnerTree::kNone;
+    };
+    WinnerTree eager(n);
+    WinnerTree lazy(n);
+    for (int step = 0; step < 2000; ++step) {
+      const std::size_t slot = rng.below(n);
+      present[slot] = rng.below(4) != 0;
+      key[slot] = pool[rng.below(pool.size())];
+      eager.update(slot, leaf(slot), earlier);
+      lazy.mark(slot);
+      if (rng.below(2) == 0) continue;
+      lazy.repair(leaf, earlier);
+      std::uint32_t expected = WinnerTree::kNone;
+      for (std::uint32_t k = 0; k < n; ++k) {
+        if (present[k] && (expected == WinnerTree::kNone ||
+                           key[k] < key[expected])) {
+          expected = k;
+        }
+      }
+      ASSERT_EQ(eager.winner(), expected);
+      ASSERT_EQ(lazy.winner(), expected);
+    }
+  }
+}
+
+TEST(ScheduleConcurrency, DisjointPairMovesKeepTheMakespanExact) {
+  // Pool threads swap jobs inside disjoint machine pairs (the parallel
+  // engine's session shape), marking tree blocks concurrently; the next
+  // whole-schedule read must still equal the scan.
+  constexpr std::size_t kMachines = 260;
+  stats::Rng rng(5);
+  std::vector<Cost> costs(8 * kMachines);
+  for (Cost& c : costs) c = static_cast<Cost>(1 + rng.below(4));
+  const Instance inst = Instance::identical(kMachines, costs);
+  Schedule s(inst, gen::random_assignment(inst, 6));
+  parallel::ThreadPool pool(4);
+  std::vector<MachineId> order(kMachines);
+  std::iota(order.begin(), order.end(), MachineId{0});
+  for (int round = 0; round < 40; ++round) {
+    stats::shuffle(order.begin(), order.end(), rng);
+    parallel::parallel_for(
+        pool, kMachines / 2, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t p = begin; p < end; ++p) {
+            const MachineId a = order[2 * p];
+            const MachineId b = order[2 * p + 1];
+            std::vector<JobId> on_a;
+            std::vector<JobId> on_b;
+            for (const JobId j : s.jobs_on(a)) on_a.push_back(j);
+            for (const JobId j : s.jobs_on(b)) on_b.push_back(j);
+            for (const JobId j : on_a) {
+              if ((j + round) % 3 == 0) s.move(j, b);
+            }
+            for (const JobId j : on_b) {
+              if ((j + round) % 2 == 0) s.move(j, a);
+            }
+          }
+        });
+    expect_scan_pick(s);
+  }
+  EXPECT_TRUE(s.check_consistency());
 }
 
 TEST(Numa, ShardedFirstTouchZeroFillsEveryByte) {

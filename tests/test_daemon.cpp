@@ -102,8 +102,8 @@ TEST(Daemon, MetricsReplyCarriesSocketAndUptimeSeries) {
   ASSERT_NE(uptime, nullptr);
   EXPECT_GE(uptime->as_number(), 0.0);
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, ScrapeReturnsPrometheusExposition) {
@@ -118,8 +118,8 @@ TEST(Daemon, ScrapeReturnsPrometheusExposition) {
       << body;
   EXPECT_NE(body.find("dlb_daemon_uptime_seconds"), std::string::npos);
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, FlightAndTraceExportsParse) {
@@ -143,8 +143,8 @@ TEST(Daemon, FlightAndTraceExportsParse) {
   ASSERT_NE(events, nullptr);
   EXPECT_GT(events->as_array().size(), 0u);
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, TraceCommandFailsCleanlyWhenTracingIsOff) {
@@ -156,8 +156,8 @@ TEST(Daemon, TraceCommandFailsCleanlyWhenTracingIsOff) {
   const std::string reply = pair.a->execute("trace");
   EXPECT_EQ(reply.rfind("error: ", 0), 0u) << reply;
 
-  pair.a->execute("shutdown");
-  pair.b->execute("shutdown");
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 TEST(Daemon, CommandsAfterShutdownAreRefused) {
@@ -176,7 +176,7 @@ TEST(Daemon, CommandsAfterShutdownAreRefused) {
         << command;
   }
 
-  pair.b->execute("shutdown");
+  (void)pair.b->execute("shutdown");
 }
 
 }  // namespace

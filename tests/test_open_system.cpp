@@ -392,6 +392,50 @@ TEST(OpenSystemEngine, OpenModeRequiresAnEmptySchedule) {
   }
 }
 
+// ----- completion order on busy_until ties -----
+
+TEST(OpenSystemEngine, TiedCompletionsFinishSmallestMachineFirst) {
+  // Halt a run with every machine serving, tie machines 4, 2 and 1 at the
+  // current clock, resume, and step one event at a time: the ties must
+  // complete in ascending machine id, ahead of every later horizon.
+  const Instance instance = gen::identical_uniform(5, 60, 1.0, 10.0, 6);
+  const ArrivalPlan plan = ArrivalPlan::poisson(4.0, 21);
+  const UniformPeerSelector selector;
+  const OpenSystemEngine engine(
+      pairwise::kernel_registry().get("basic-greedy"), selector);
+  OpenSystemOptions options;
+  options.arrivals = &plan;
+  options.halt_after_events = 40;
+  OpenCheckpoint ck;
+  options.checkpoint_out = &ck;
+  Schedule first(instance);
+  ASSERT_TRUE(engine.run(first, options, kSeed).halted);
+  for (MachineId i = 0; i < 5; ++i) ASSERT_NE(ck.in_service[i], kNoJob);
+
+  for (const MachineId i : {0u, 3u}) ck.busy_until[i] = ck.now + 1000.0;
+  for (const MachineId i : {4u, 2u, 1u}) ck.busy_until[i] = ck.now;
+  std::uint64_t events = ck.events;
+  for (const MachineId expected : {1u, 2u, 4u}) {
+    const JobId job = ck.in_service[expected];
+    OpenSystemOptions step;
+    step.arrivals = &plan;
+    step.resume = &ck;
+    step.halt_after_events = ++events;
+    OpenCheckpoint next;
+    step.checkpoint_out = &next;
+    Schedule schedule = ck.make_schedule(instance);
+    ASSERT_TRUE(engine.run(schedule, step, kSeed).halted);
+    EXPECT_EQ(next.completion_time[job], ck.now) << "machine " << expected;
+    for (const MachineId other : {1u, 2u, 4u}) {
+      if (other > expected) {
+        EXPECT_LT(ck.completion_time[ck.in_service[other]], 0.0);
+        EXPECT_LT(next.completion_time[ck.in_service[other]], 0.0);
+      }
+    }
+    ck = next;
+  }
+}
+
 // ----- differential: repair thread invariance at 1/4/8 workers -----
 
 TEST(OpenSystemEngine, ParallelRepairIsThreadCountInvariantAcrossRegimes) {
