@@ -20,17 +20,6 @@ struct RestMax {
   }
 };
 
-/// Materializes a machine's jobs sorted by id: the candidate enumeration
-/// below breaks ties by first-seen order, so iterating in id order keeps
-/// the search deterministic regardless of the LoadTable's list order.
-std::vector<JobId> sorted_jobs_on(const Schedule& schedule, MachineId i) {
-  std::vector<JobId> jobs;
-  jobs.reserve(schedule.jobs_on(i).size());
-  for (JobId j : schedule.jobs_on(i)) jobs.push_back(j);
-  std::sort(jobs.begin(), jobs.end());
-  return jobs;
-}
-
 RestMax rest_max_loads(const Schedule& schedule, MachineId max_machine) {
   RestMax rest;
   for (MachineId i = 0; i < schedule.num_machines(); ++i) {
@@ -55,6 +44,8 @@ LocalSearchResult local_search_improve(Schedule& schedule,
   LocalSearchResult result;
   if (schedule.num_machines() < 2) return result;
 
+  std::vector<JobId> on_max;
+  std::vector<JobId> on_other;
   while (result.steps < options.max_steps) {
     const MachineId max_machine = schedule.argmax_load();
     const Cost max_load = schedule.load(max_machine);
@@ -71,7 +62,9 @@ LocalSearchResult local_search_improve(Schedule& schedule,
     };
     Action best{max_load, 0, 0, kUnassigned};
 
-    const std::vector<JobId> on_max = sorted_jobs_on(schedule, max_machine);
+    // Candidates are enumerated in job-id order and ties keep the first
+    // seen, so the search does not depend on the LoadTable's list order.
+    schedule.sorted_jobs_into(max_machine, on_max);
     for (JobId j : on_max) {
       const Cost relieved = max_load - instance.cost(max_machine, j);
       for (MachineId i = 0; i < schedule.num_machines(); ++i) {
@@ -84,8 +77,9 @@ LocalSearchResult local_search_improve(Schedule& schedule,
           best = {moved, j, i, kUnassigned};
         }
         if (!options.allow_swaps) continue;
-        // Swap j against each job k on i (id order, see sorted_jobs_on).
-        for (JobId k : sorted_jobs_on(schedule, i)) {
+        // Swap j against each job k on i (id order, as above).
+        schedule.sorted_jobs_into(i, on_other);
+        for (JobId k : on_other) {
           const Cost new_max =
               relieved + instance.cost(max_machine, k);
           const Cost new_other = schedule.load(i) -

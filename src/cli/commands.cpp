@@ -52,6 +52,12 @@ int usage_error(std::ostream& err, const std::string& message) {
   return 2;
 }
 
+/// Cmax / LB as the reports print it. Only an instance without jobs has
+/// LB = 0, and its empty schedule is optimal: 1, not 0/0.
+double report_factor(Cost makespan, Cost lb) {
+  return lb > 0.0 ? makespan / lb : 1.0;
+}
+
 int check_unused(const Args& args, std::ostream& err) {
   const auto unused = args.unused();
   if (unused.empty()) return 0;
@@ -218,7 +224,7 @@ int cmd_solve(const Args& args, std::ostream& out, std::ostream& err) {
   out << "algorithm : " << alg << "\n"
       << "makespan  : " << schedule.makespan() << "\n"
       << "LB        : " << lb << "\n"
-      << "factor    : " << schedule.makespan() / lb << "\n";
+      << "factor    : " << report_factor(schedule.makespan(), lb) << "\n";
   return 0;
 }
 
@@ -426,7 +432,8 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
     result.print(out);
     out << "effective       : " << result.changed_exchanges << "\n"
         << extra << "LB              : " << lb << "\n"
-        << "final factor    : " << result.final_makespan / lb << "\n";
+        << "final factor    : " << report_factor(result.final_makespan, lb)
+        << "\n";
     if (!trace_path.empty()) {
       std::ofstream trace(trace_path);
       if (!trace) {
@@ -731,7 +738,8 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
       << result.sessions_per_machine(m) << " per machine)\n"
       << "messages        : " << result.messages << "\n"
       << "LB              : " << lb << "\n"
-      << "final factor    : " << result.final_makespan / lb << "\n";
+      << "final factor    : " << report_factor(result.final_makespan, lb)
+        << "\n";
   if (!trace_path.empty()) {
     std::ofstream trace(trace_path);
     if (!trace) {

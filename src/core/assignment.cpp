@@ -9,14 +9,6 @@ bool Assignment::is_complete() const noexcept {
                       [](MachineId i) { return i == kUnassigned; });
 }
 
-std::vector<JobId> Assignment::jobs_of(MachineId machine) const {
-  std::vector<JobId> jobs;
-  for (JobId j = 0; j < machine_of_.size(); ++j) {
-    if (machine_of_[j] == machine) jobs.push_back(j);
-  }
-  return jobs;
-}
-
 Assignment Assignment::round_robin(std::size_t num_jobs,
                                    std::size_t num_machines) {
   Assignment a(num_jobs);

@@ -45,9 +45,6 @@ class Assignment {
   /// True when every job has a machine.
   [[nodiscard]] bool is_complete() const noexcept;
 
-  /// Jobs currently mapped to machine i (O(num_jobs) scan).
-  [[nodiscard]] std::vector<JobId> jobs_of(MachineId i) const;
-
   [[nodiscard]] const std::vector<MachineId>& raw() const noexcept {
     return machine_of_;
   }

@@ -55,6 +55,7 @@ Instance::Instance(std::vector<std::vector<Cost>> group_costs,
   group_of_ = owned_group_of_.data();
   scales_ = owned_scales_.data();
   compute_caches();
+  check_load_bound();
 }
 
 Instance::Instance(Borrowed, const Cost* costs, const GroupId* group_of,
@@ -85,6 +86,7 @@ Instance::Instance(Borrowed, const Cost* costs, const GroupId* group_of,
     }
   }
   build_machines_by_group();
+  check_load_bound();
 }
 
 Instance::Instance(const Instance& other)
@@ -132,17 +134,44 @@ void Instance::build_machines_by_group() {
   }
 }
 
+std::vector<double> Instance::group_max_scales() const {
+  // Empty groups keep 0: they own no (machine, job) pair.
+  std::vector<double> group_max_scale(num_groups_, 0.0);
+  for (MachineId i = 0; i < num_machines_; ++i) {
+    group_max_scale[group_of_[i]] =
+        std::max(group_max_scale[group_of_[i]], scales_[i]);
+  }
+  return group_max_scale;
+}
+
+void Instance::check_load_bound() const {
+  // A machine's load sums distinct jobs' costs, so it stays finite while
+  // the jobs' largest costs do. num_jobs * max_cost bounds that sum in
+  // O(1); only when the bound overflows is the exact sum taken.
+  if (std::isfinite(static_cast<double>(num_jobs_) * max_cost_)) return;
+  const std::vector<double> group_max_scale = group_max_scales();
+  Cost total = 0.0;
+  for (JobId j = 0; j < num_jobs_; ++j) {
+    Cost largest = 0.0;
+    for (GroupId g = 0; g < num_groups_; ++g) {
+      largest = std::max(largest, group_cost(g, j) * group_max_scale[g]);
+    }
+    total += largest;
+  }
+  if (!std::isfinite(total)) {
+    throw std::invalid_argument(
+        "Instance: costs: the jobs' largest costs sum past the largest "
+        "finite double, so a machine load could overflow");
+  }
+}
+
 void Instance::compute_caches() {
   build_machines_by_group();
   unit_scales_ = std::all_of(scales_, scales_ + num_machines_,
                              [](double s) { return s == 1.0; });
   max_cost_ = 0.0;
   // The true max over (i, j) needs per-group max scale; compute exactly.
-  std::vector<double> group_max_scale(num_groups_, 0.0);
-  for (MachineId i = 0; i < num_machines_; ++i) {
-    group_max_scale[group_of_[i]] =
-        std::max(group_max_scale[group_of_[i]], scales_[i]);
-  }
+  const std::vector<double> group_max_scale = group_max_scales();
   for (GroupId g = 0; g < num_groups_; ++g) {
     // Empty groups (no machines) and empty rows (zero jobs) contribute no
     // (machine, job) pair — skipping them also keeps max_element legal.

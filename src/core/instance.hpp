@@ -188,6 +188,11 @@ class Instance {
 
   void compute_caches();
   void build_machines_by_group();
+  /// Largest machine scale per group (0 for a group without machines).
+  [[nodiscard]] std::vector<double> group_max_scales() const;
+  /// Rejects costs whose per-job maxima sum to infinity (a load could
+  /// overflow): O(1) unless num_jobs * max_cost overflows.
+  void check_load_bound() const;
   void rebind();
 
   // Flat storage: either owned by the vectors below or borrowed from an

@@ -1,39 +1,28 @@
 #pragma once
 
 // LoadTable: the per-machine half of a Schedule — machine loads and
-// per-machine job membership — stored as one contiguous slab of flat
-// arrays instead of one heap vector per machine. Each job owns one slot in
-// the shared next/prev arrays (an intrusive doubly-linked list threaded
-// through flat storage), so:
+// per-machine job membership — stored as seven flat arrays (SoA) instead
+// of one heap vector per machine. Each job owns one slot in the shared
+// next/prev arrays (an intrusive doubly-linked list threaded through flat
+// storage), so:
 //   * moving a job between machines is O(1) with zero allocation — the old
 //     vector-of-vectors layout paid an O(k) linear find plus occasional
 //     push_back reallocation on every move;
-//   * the whole table is seven flat arrays (SoA) carved out of a single
-//     page-aligned slab, each section padded to a cache line, so a
-//     pairwise session touches two small slabs of machine state plus the
-//     shared link pool rather than pointer-chasing per-machine heap
-//     blocks (and at million-machine scale the table is one allocation,
-//     not seven);
 //   * two sessions on disjoint machine pairs touch disjoint entries of
 //     every array, which is what lets ParallelExchangeEngine run sessions
-//     concurrently without synchronising on the table itself;
-//   * the slab is first-touched in shards (core/numa.hpp), so on a
-//     multi-socket box its pages spread across NUMA nodes. Placement
-//     never changes contents: results are bitwise identical at any
-//     DLB_NUMA_SHARDS setting.
+//     concurrently without synchronising on the table itself.
 //
 // Iteration order over a machine's jobs is the insertion order of the
 // current residents (most recently attached first). Nothing in the library
-// depends on that order: kernels sort their pooled jobs by id, and all
-// consistency checks are order-insensitive.
+// depends on that order: callers that need a canonical order gather in
+// ascending job id (Schedule::sorted_jobs_into, pairwise::pooled_jobs_into),
+// and all consistency checks are order-insensitive.
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <utility>
+#include <vector>
 
-#include "core/numa.hpp"
 #include "core/types.hpp"
 
 namespace dlb {
@@ -43,31 +32,17 @@ class LoadTable {
   /// Sentinel link meaning "end of list" / "not on any machine".
   static constexpr JobId kNil = kUnassigned;
 
-  LoadTable() = default;
-
-  LoadTable(std::size_t num_machines, std::size_t num_jobs) {
-    init(num_machines, num_jobs);
-    for (std::size_t j = 0; j < num_jobs; ++j) next_[j] = kNil;
-    for (std::size_t j = 0; j < num_jobs; ++j) prev_[j] = kNil;
-    for (std::size_t i = 0; i < num_machines; ++i) head_[i] = kNil;
-    // count/loads/arrivals stay at the first-touch zero fill.
-    std::memset(live_, 1, num_machines);
-    num_live_ = num_machines;
-  }
-
-  LoadTable(const LoadTable& other) { copy_from(other); }
-  LoadTable& operator=(const LoadTable& other) {
-    if (this != &other) copy_from(other);
-    return *this;
-  }
-  LoadTable(LoadTable&& other) noexcept { swap(other); }
-  LoadTable& operator=(LoadTable&& other) noexcept {
-    if (this != &other) swap(other);
-    return *this;
-  }
+  LoadTable(std::size_t num_machines, std::size_t num_jobs)
+      : next_(num_jobs, kNil),
+        prev_(num_jobs, kNil),
+        head_(num_machines, kNil),
+        count_(num_machines, 0),
+        loads_(num_machines, 0.0),
+        arrivals_(num_machines, 0),
+        live_(num_machines, 1) {}
 
   [[nodiscard]] std::size_t num_machines() const noexcept {
-    return num_machines_;
+    return head_.size();
   }
 
   // ----- elastic machine-set membership (src/dist/churn) -----
@@ -80,19 +55,14 @@ class LoadTable {
   [[nodiscard]] bool is_live(MachineId i) const noexcept {
     return live_[i] != 0;
   }
-  [[nodiscard]] std::size_t num_live() const noexcept { return num_live_; }
   [[nodiscard]] std::span<const std::uint8_t> live_mask() const noexcept {
-    return {live_, num_machines_};
+    return live_;
   }
-  void set_live(MachineId i, bool live) noexcept {
-    if ((live_[i] != 0) == live) return;
-    live_[i] = live ? 1 : 0;
-    num_live_ += live ? 1 : std::size_t(-1);
-  }
+  void set_live(MachineId i, bool live) noexcept { live_[i] = live ? 1 : 0; }
 
   [[nodiscard]] Cost load(MachineId i) const noexcept { return loads_[i]; }
   [[nodiscard]] std::span<const Cost> loads() const noexcept {
-    return {loads_, num_machines_};
+    return loads_;
   }
   /// Overwrites one load accumulator (src/dist/checkpoint restore): the
   /// incremental sum is order-dependent in the last ulp, so a resumed run
@@ -146,7 +116,7 @@ class LoadTable {
   };
 
   [[nodiscard]] JobList jobs(MachineId i) const noexcept {
-    return {next_, head_[i], count_[i]};
+    return {next_.data(), head_[i], count_[i]};
   }
 
   /// Links job j onto machine i and adds `cost` to its load. j must not be
@@ -177,88 +147,14 @@ class LoadTable {
   }
 
  private:
-  /// Allocates the slab, first-touches it across DLB_NUMA_SHARDS shards
-  /// (zero fill), and binds the section pointers. Sections are cache-line
-  /// padded: job-indexed link pool first (the hottest, largest arrays),
-  /// then machine-indexed state.
-  void init(std::size_t num_machines, std::size_t num_jobs) {
-    namespace numa = core::numa;
-    const std::size_t off_next = 0;
-    const std::size_t off_prev = numa::align_up(
-        off_next + num_jobs * sizeof(JobId), numa::kCacheLine);
-    const std::size_t off_head = numa::align_up(
-        off_prev + num_jobs * sizeof(JobId), numa::kCacheLine);
-    const std::size_t off_count = numa::align_up(
-        off_head + num_machines * sizeof(JobId), numa::kCacheLine);
-    const std::size_t off_loads = numa::align_up(
-        off_count + num_machines * sizeof(std::size_t), numa::kCacheLine);
-    const std::size_t off_arrivals = numa::align_up(
-        off_loads + num_machines * sizeof(Cost), numa::kCacheLine);
-    const std::size_t off_live = numa::align_up(
-        off_arrivals + num_machines * sizeof(std::uint64_t),
-        numa::kCacheLine);
-    bytes_ = numa::align_up(off_live + num_machines * sizeof(std::uint8_t),
-                            numa::kCacheLine);
-    slab_ = numa::alloc_slab(bytes_);
-    numa::first_touch(slab_.get(), bytes_, numa::shard_count());
-    std::byte* base = slab_.get();
-    next_ = reinterpret_cast<JobId*>(base + off_next);
-    prev_ = reinterpret_cast<JobId*>(base + off_prev);
-    head_ = reinterpret_cast<JobId*>(base + off_head);
-    count_ = reinterpret_cast<std::size_t*>(base + off_count);
-    loads_ = reinterpret_cast<Cost*>(base + off_loads);
-    arrivals_ = reinterpret_cast<std::uint64_t*>(base + off_arrivals);
-    live_ = reinterpret_cast<std::uint8_t*>(base + off_live);
-    num_machines_ = num_machines;
-    num_jobs_ = num_jobs;
-  }
-
-  void copy_from(const LoadTable& other) {
-    if (other.slab_ == nullptr) {
-      slab_.reset();
-      bytes_ = 0;
-      next_ = prev_ = head_ = nullptr;
-      count_ = nullptr;
-      loads_ = nullptr;
-      arrivals_ = nullptr;
-      live_ = nullptr;
-      num_machines_ = num_jobs_ = num_live_ = 0;
-      return;
-    }
-    init(other.num_machines_, other.num_jobs_);
-    std::memcpy(slab_.get(), other.slab_.get(), bytes_);
-    num_live_ = other.num_live_;
-  }
-
-  void swap(LoadTable& other) noexcept {
-    std::swap(slab_, other.slab_);
-    std::swap(bytes_, other.bytes_);
-    std::swap(next_, other.next_);
-    std::swap(prev_, other.prev_);
-    std::swap(head_, other.head_);
-    std::swap(count_, other.count_);
-    std::swap(loads_, other.loads_);
-    std::swap(arrivals_, other.arrivals_);
-    std::swap(live_, other.live_);
-    std::swap(num_machines_, other.num_machines_);
-    std::swap(num_jobs_, other.num_jobs_);
-    std::swap(num_live_, other.num_live_);
-  }
-
-  // One slab; the pointers below are views into it.
-  core::numa::Slab slab_;
-  std::size_t bytes_ = 0;
   // Job-indexed link pool (size n), machine-indexed state (size m).
-  JobId* next_ = nullptr;
-  JobId* prev_ = nullptr;
-  JobId* head_ = nullptr;
-  std::size_t* count_ = nullptr;
-  Cost* loads_ = nullptr;
-  std::uint64_t* arrivals_ = nullptr;
-  std::uint8_t* live_ = nullptr;  // 1 = in the active machine set
-  std::size_t num_machines_ = 0;
-  std::size_t num_jobs_ = 0;
-  std::size_t num_live_ = 0;
+  std::vector<JobId> next_;
+  std::vector<JobId> prev_;
+  std::vector<JobId> head_;
+  std::vector<std::size_t> count_;
+  std::vector<Cost> loads_;
+  std::vector<std::uint64_t> arrivals_;
+  std::vector<std::uint8_t> live_;  // 1 = in the active machine set
 };
 
 }  // namespace dlb

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dlb::cost {
@@ -31,13 +33,21 @@ Instance risk_adjusted_instance(const Instance& instance, RiskMode mode,
     group_of[i] = instance.group_of(i);
     scales[i] = instance.scale(i);
   }
-  Instance adjusted(std::move(rows), std::move(group_of), std::move(scales));
-  if (instance.has_job_types()) {
-    std::vector<JobTypeId> types(n);
-    for (JobId j = 0; j < n; ++j) types[j] = instance.job_type(j);
-    adjusted.set_job_types(std::move(types));
+  // Factors above 1 can push finite costs past the instance's load bound;
+  // say that the surrogate, not the caller's instance, overflowed.
+  try {
+    Instance adjusted(std::move(rows), std::move(group_of), std::move(scales));
+    if (instance.has_job_types()) {
+      std::vector<JobTypeId> types(n);
+      for (JobId j = 0; j < n; ++j) types[j] = instance.job_type(j);
+      adjusted.set_job_types(std::move(types));
+    }
+    return adjusted;
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(
+        "risk_adjusted_instance: the risk-scaled surrogate is invalid: " +
+        std::string(e.what()));
   }
-  return adjusted;
 }
 
 double load_variance(const Schedule& schedule, MachineId i) {
@@ -48,9 +58,10 @@ double load_variance(const Schedule& schedule, MachineId i) {
   // dependent, and these aggregates must be bitwise reproducible across
   // checkpoint/restore and any other path that rebuilds the same
   // assignment in a different order.
+  std::vector<JobId> jobs;
+  schedule.sorted_jobs_into(i, jobs);
   double variance = 0.0;
-  for (JobId j = 0; j < schedule.num_jobs(); ++j) {
-    if (schedule.machine_of(j) != i) continue;
+  for (const JobId j : jobs) {
     const double p = instance.cost(i, j);
     variance += p * p * dist_variance(model.dist(j));
   }
@@ -83,9 +94,10 @@ double effective_load(const Schedule& schedule, MachineId i) {
   // result is bitwise the mean accumulator's load -- the zero-variance
   // anchor for the max-load_effsize selector. Job-id order: see
   // load_variance.
+  std::vector<JobId> jobs;
+  schedule.sorted_jobs_into(i, jobs);
   double margin = 0.0;
-  for (JobId j = 0; j < schedule.num_jobs(); ++j) {
-    if (schedule.machine_of(j) != i) continue;
+  for (const JobId j : jobs) {
     margin += instance.cost(i, j) * (effective_factor(model.dist(j)) - 1.0);
   }
   return schedule.load(i) + margin;

@@ -32,7 +32,8 @@ inline constexpr double kRiskQuantile = 0.95;
 /// Groups, scales and job types are preserved; the surrogate carries no
 /// cost model of its own. Without a model (or with an all-degenerate one)
 /// every factor is exactly 1.0, so the surrogate costs are bitwise equal
-/// to the original's.
+/// to the original's. Throws std::invalid_argument ("risk_adjusted_instance:
+/// ...") when the scaled costs fail Instance's checks (a load overflow).
 [[nodiscard]] Instance risk_adjusted_instance(const Instance& instance,
                                               RiskMode mode,
                                               double q = kRiskQuantile);

@@ -104,6 +104,13 @@ MachineId Schedule::argmax_load() const {
   return winner == WinnerTree::kNone ? 0 : winner;
 }
 
+void Schedule::sorted_jobs_into(MachineId i, std::vector<JobId>& out) const {
+  out.clear();
+  out.reserve(table_.count(i));
+  for (const JobId j : table_.jobs(i)) out.push_back(j);
+  std::sort(out.begin(), out.end());
+}
+
 void Schedule::assign(JobId j, MachineId i) {
   if (assignment_.machine_of(j) != kUnassigned) {
     throw std::logic_error("Schedule::assign: job already assigned");

@@ -5,8 +5,9 @@
 // and a fingerprint for cycle detection. This is the mutable state every
 // balancing kernel and simulator operates on.
 //
-// Storage: per-machine state lives in a LoadTable (contiguous pooled
-// arrays), so moving a job is O(1) and allocation-free. The makespan is
+// Storage: per-machine state lives in a LoadTable (flat arrays with an
+// intrusive per-machine job list), so moving a job is O(1) and
+// allocation-free. The makespan is
 // kept by a WinnerTree over blocks of kLoadBlock machines: a mutation only
 // flags its machines' blocks, and makespan() rescans the flagged blocks and
 // replays their paths. Concurrency contract (what ParallelExchangeEngine
@@ -65,9 +66,6 @@ class Schedule {
   [[nodiscard]] const Instance& decision_instance() const noexcept {
     return decision_instance_ ? *decision_instance_ : *instance_;
   }
-  [[nodiscard]] bool has_decision_instance() const noexcept {
-    return decision_instance_ != nullptr;
-  }
   /// Attaches (or, with null, detaches) a surrogate decision instance. It
   /// must match the real instance's machine/job shape. Attaching rebuilds
   /// the decision-load accumulators canonically (ascending job id --
@@ -120,6 +118,11 @@ class Schedule {
     return table_.jobs(i);
   }
 
+  /// Overwrites `out` with the jobs on machine i in ascending id: the one
+  /// canonical order every caller that must not depend on move history
+  /// (churn, local search, the transport runner, the risk sums) walks.
+  void sorted_jobs_into(MachineId i, std::vector<JobId>& out) const;
+
   /// Places an unassigned job.
   void assign(JobId j, MachineId i);
 
@@ -158,9 +161,6 @@ class Schedule {
 
   [[nodiscard]] bool is_live(MachineId i) const noexcept {
     return table_.is_live(i);
-  }
-  [[nodiscard]] std::size_t num_live() const noexcept {
-    return table_.num_live();
   }
   [[nodiscard]] std::span<const std::uint8_t> live_mask() const noexcept {
     return table_.live_mask();

@@ -92,6 +92,8 @@ Checkpoint Checkpoint::load(std::istream& in) {
   const std::size_t jobs = ck.num_jobs;
   r.row(ck.order, r.count("order", machines, "machines"),
         "order permutation");
+  r.ids_below(ck.order, machines, "machines", "order permutation");
+  r.distinct(ck.order, "order permutation");
   const std::size_t live_size = r.count("live", machines, "machines");
   for (std::size_t i = 0; i < live_size; ++i) {
     int bit = 0;
@@ -102,9 +104,11 @@ Checkpoint Checkpoint::load(std::istream& in) {
   }
   r.id_row(ck.assignment, r.count("assignment", jobs, "jobs"), kUnassigned,
            "assignment");
+  r.ids_below(ck.assignment, machines, "machines", "assignment", kUnassigned);
   r.row(ck.loads, r.count("loads", machines, "machines"), "loads");
   ck.churn_cursor = r.value<std::size_t>("churn_cursor");
   r.row(ck.churn_queue, r.count("churn_queue", jobs, "jobs"), "churn queue");
+  r.ids_below(ck.churn_queue, jobs, "jobs", "churn queue");
   r.expect("churn_counters");
   if (!(in >> ck.churn.joins >> ck.churn.drains >> ck.churn.crashes >>
         ck.churn.orphaned >> ck.churn.redispatched)) {

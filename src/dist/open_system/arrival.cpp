@@ -101,27 +101,6 @@ void ArrivalPlan::validate() const {
   invalid("kind", "unknown arrival kind");
 }
 
-double ArrivalPlan::rate_at(double t) const {
-  switch (kind) {
-    case ArrivalKind::kNone:
-      return 0.0;
-    case ArrivalKind::kPoisson:
-      return rate;
-    case ArrivalKind::kBursty: {
-      const double period = on_duration + off_duration;
-      const double phase = std::fmod(t, period);
-      return phase < on_duration ? rate : off_rate;
-    }
-    case ArrivalKind::kDiurnal: {
-      const auto bin = static_cast<std::size_t>(
-          std::fmod(std::floor(t / bin_duration),
-                    static_cast<double>(trace.size())));
-      return trace[bin < trace.size() ? bin : 0];
-    }
-  }
-  return 0.0;
-}
-
 std::vector<double> ArrivalPlan::arrival_times(std::size_t count) const {
   validate();
   if (kind == ArrivalKind::kNone) {

@@ -60,9 +60,6 @@ struct ArrivalPlan {
   /// "ArrivalPlan: invalid rate: must be > 0 and finite, got 0".
   void validate() const;
 
-  /// The arrival rate at virtual time t (piecewise constant).
-  [[nodiscard]] double rate_at(double t) const;
-
   /// The first `count` arrival times, non-decreasing. Pure function of
   /// (plan, count): element k never changes once drawn, so a resumed run
   /// regenerates the identical schedule. Requires a validated,

@@ -70,9 +70,11 @@ OpenCheckpoint OpenCheckpoint::load(std::istream& in) {
   const std::size_t jobs = ck.num_jobs;
   r.id_row(ck.assignment, r.count("assignment", jobs, "jobs"), kUnassigned,
            "assignment");
+  r.ids_below(ck.assignment, machines, "machines", "assignment", kUnassigned);
   r.row(ck.loads, r.count("loads", machines, "machines"), "loads");
   r.id_row(ck.in_service, r.count("in_service", machines, "machines"),
            kNoJob, "in_service");
+  r.ids_below(ck.in_service, jobs, "jobs", "in_service", kNoJob);
   r.row(ck.busy_until, r.count("busy_until", machines, "machines"),
              "busy_until");
   r.row(ck.completion_time, r.count("completion_time", jobs, "jobs"),

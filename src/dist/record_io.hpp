@@ -6,9 +6,10 @@
 // travel as IEEE-754 bit patterns: decimal round-trips are not guaranteed
 // exact, bit patterns are. Files are untrusted: sections grow as entries
 // arrive (memory bounded by the input's length), loaders bound each count
-// by their header's `machines`/`jobs`, and every error is a
+// and each id by their header's `machines`/`jobs`, and every error is a
 // std::runtime_error prefixed with the loader ("Checkpoint::load: ...").
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -162,6 +163,32 @@ class Reader {
         fail(std::string("bad ") + what + " entry \"" + token + "\"");
       }
       out.push_back(static_cast<T>(id));
+    }
+  }
+
+  /// Fails when an entry of `ids` other than `sentinel` is not below
+  /// `limit`, the header field named `limit_name`.
+  template <typename T>
+  void ids_below(const std::vector<T>& ids, std::size_t limit,
+                 const char* limit_name, const char* what,
+                 std::optional<std::type_identity_t<T>> sentinel =
+                     std::nullopt) {
+    for (const T id : ids) {
+      if (id != sentinel && id >= limit) {
+        fail(std::string(what) + " entry " + std::to_string(id) +
+             " is out of range for the header's " + limit_name + " (" +
+             std::to_string(limit) + ')');
+      }
+    }
+  }
+
+  /// Fails when `ids` repeats an entry.
+  template <typename T>
+  void distinct(std::vector<T> ids, const char* what) {
+    std::sort(ids.begin(), ids.end());
+    const auto repeat = std::adjacent_find(ids.begin(), ids.end());
+    if (repeat != ids.end()) {
+      fail(std::string(what) + " repeats entry " + std::to_string(*repeat));
     }
   }
 

@@ -112,20 +112,16 @@ MachineId TransportRunner::plan_initiator(std::uint64_t token) const {
 }
 
 Cost TransportRunner::canonical_load(MachineId machine) const {
-  std::vector<JobId> jobs = sorted_jobs(machine);
   Cost load = 0.0;
-  for (const JobId job : jobs) {
+  for (const JobId job : sorted_jobs(machine)) {
     load += replica_->instance().cost(machine, job);
   }
   return load;
 }
 
 std::vector<JobId> TransportRunner::sorted_jobs(MachineId machine) const {
-  const auto view = replica_->jobs_on(machine);
   std::vector<JobId> jobs;
-  jobs.reserve(view.size());
-  for (const JobId job : view) jobs.push_back(job);
-  std::sort(jobs.begin(), jobs.end());
+  replica_->sorted_jobs_into(machine, jobs);
   return jobs;
 }
 

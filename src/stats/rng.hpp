@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 namespace dlb::stats {
 
@@ -85,10 +86,15 @@ class Rng {
   [[nodiscard]] double exponential(double lambda) noexcept;
 
   /// The four xoshiro256** state words, for checkpointing. A generator
-  /// rebuilt with from_state() continues the exact draw sequence.
+  /// rebuilt with from_state() continues the exact draw sequence. The
+  /// all-zero state is a fixed point that never draws again, so it throws.
   using State = std::array<std::uint64_t, 4>;
   [[nodiscard]] constexpr State state() const noexcept { return state_; }
-  [[nodiscard]] static constexpr Rng from_state(const State& state) noexcept {
+  [[nodiscard]] static constexpr Rng from_state(const State& state) {
+    if ((state[0] | state[1] | state[2] | state[3]) == 0) {
+      throw std::invalid_argument("Rng::from_state: all-zero state (a dead "
+                                  "generator)");
+    }
     Rng rng;
     rng.state_ = state;
     return rng;

@@ -6,12 +6,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "core/generators.hpp"
-#include "core/numa.hpp"
 #include "core/winner_tree.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/rng.hpp"
@@ -44,14 +42,14 @@ TEST(Assignment, RoundRobinCoversAllMachines) {
   EXPECT_EQ(a.machine_of(0), 0u);
   EXPECT_EQ(a.machine_of(3), 0u);
   EXPECT_EQ(a.machine_of(5), 2u);
-  EXPECT_EQ(a.jobs_of(0).size(), 3u);
-  EXPECT_EQ(a.jobs_of(1).size(), 2u);
+  EXPECT_EQ(std::count(a.raw().begin(), a.raw().end(), 0u), 3);
+  EXPECT_EQ(std::count(a.raw().begin(), a.raw().end(), 1u), 2);
 }
 
 TEST(Assignment, AllOnPilesEverything) {
   const Assignment a = Assignment::all_on(4, 2);
-  EXPECT_EQ(a.jobs_of(2).size(), 4u);
-  EXPECT_TRUE(a.jobs_of(0).empty());
+  EXPECT_EQ(std::count(a.raw().begin(), a.raw().end(), 2u), 4);
+  EXPECT_EQ(std::count(a.raw().begin(), a.raw().end(), 0u), 0);
 }
 
 TEST(Assignment, EqualityIsStructural) {
@@ -211,6 +209,19 @@ void expect_scan_pick(const Schedule& s) {
             std::bit_cast<std::uint64_t>(*it));
 }
 
+// sorted_jobs_into against the list view sorted from scratch, on every
+// machine; the reused buffer starts dirty to prove it is overwritten.
+void expect_sorted_gather(const Schedule& s) {
+  std::vector<JobId> gathered = {kUnassigned};
+  for (MachineId i = 0; i < s.num_machines(); ++i) {
+    std::vector<JobId> expected;
+    for (const JobId j : s.jobs_on(i)) expected.push_back(j);
+    std::sort(expected.begin(), expected.end());
+    s.sorted_jobs_into(i, gathered);
+    ASSERT_EQ(gathered, expected) << "machine " << i;
+  }
+}
+
 TEST(ScheduleProperty, MakespanTreeMatchesMaxElementUnderRandomEdits) {
   // Identical machines with costs 1..3 tie loads all the time; restored
   // loads add signed zeros. Machine counts straddle the tree's blocks.
@@ -266,9 +277,13 @@ TEST(ScheduleProperty, MakespanTreeMatchesMaxElementUnderRandomEdits) {
           }
       }
       // Let several edits pile up between reads now and then.
-      if (rng.below(3) == 0) expect_scan_pick(s);
+      if (rng.below(3) == 0) {
+        expect_scan_pick(s);
+        expect_sorted_gather(s);
+      }
     }
     expect_scan_pick(s);
+    expect_sorted_gather(s);
   }
 }
 
@@ -346,22 +361,6 @@ TEST(ScheduleConcurrency, DisjointPairMovesKeepTheMakespanExact) {
     expect_scan_pick(s);
   }
   EXPECT_TRUE(s.check_consistency());
-}
-
-TEST(Numa, ShardedFirstTouchZeroFillsEveryByte) {
-  // Five pages and a partial sixth over four shards: two pages per shard,
-  // the third shard ends mid-page and the fourth has nothing to fill.
-  constexpr std::size_t kBytes = 5 * core::numa::kPageSize + 123;
-  constexpr std::size_t kGuard = 64;
-  const core::numa::Slab slab = core::numa::alloc_slab(kBytes + kGuard);
-  std::memset(slab.get(), 0xAB, kBytes + kGuard);
-  core::numa::first_touch(slab.get(), kBytes, 4);
-  for (std::size_t k = 0; k < kBytes; ++k) {
-    ASSERT_EQ(slab[k], std::byte{0}) << "byte " << k;
-  }
-  for (std::size_t k = kBytes; k < kBytes + kGuard; ++k) {
-    ASSERT_EQ(slab[k], std::byte{0xAB}) << "guard byte " << k;
-  }
 }
 
 }  // namespace

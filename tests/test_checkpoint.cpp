@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/generators.hpp"
@@ -12,6 +13,7 @@
 #include "dist/parallel_exchange_engine.hpp"
 #include "obs/obs.hpp"
 #include "pairwise/basic_greedy.hpp"
+#include "rejected_corpus.hpp"
 
 namespace dlb::dist {
 namespace {
@@ -132,6 +134,44 @@ TEST(Checkpoint, LoadRejectsWrongHeader) {
   wide.replace(wide.find("assignment 0"), 12, "assignment 1\n4294967296");
   EXPECT_EQ(load_error(wide),
             "Checkpoint::load: bad assignment entry \"4294967296\"");
+
+  // Shrunk reproducers: each crashed `dlbsim balance --resume` before ids
+  // were bounded by the header.
+  const std::vector<std::pair<std::string, std::string>> reproducers = {
+      {"checkpoint_seq_order_out_of_range.ckpt",
+       "Checkpoint::load: order permutation entry 4000000000 is out of "
+       "range for the header's machines (3)"},
+      {"checkpoint_parallel_order_out_of_range.ckpt",
+       "Checkpoint::load: order permutation entry 4000000000 is out of "
+       "range for the header's machines (3)"},
+  };
+  for (const auto& [file, expected] : reproducers) {
+    EXPECT_EQ(load_error(corpus::read_rejected(file)), expected) << file;
+  }
+  // Repeated order entries and out-of-range ids in the other id rows are
+  // named too.
+  const std::string seq =
+      corpus::read_rejected("checkpoint_seq_order_out_of_range.ckpt");
+  std::string repeated = seq;
+  repeated.replace(repeated.find("1 2 4000000000"), 14, "1 2 1");
+  EXPECT_EQ(load_error(repeated),
+            "Checkpoint::load: order permutation repeats entry 1");
+  std::string off_machine = seq;
+  off_machine.replace(off_machine.find("1 2 4000000000"), 14, "1 2 0");
+  off_machine.replace(off_machine.find("2 1 0 1 0 2"), 11, "2 1 0 1 3 2");
+  EXPECT_EQ(load_error(off_machine),
+            "Checkpoint::load: assignment entry 3 is out of range for the "
+            "header's machines (3)");
+  std::string off_job = seq;
+  off_job.replace(off_job.find("1 2 4000000000"), 14, "1 2 0");
+  off_job.replace(off_job.find("churn_queue 0"), 13, "churn_queue 1\n6");
+  EXPECT_EQ(load_error(off_job),
+            "Checkpoint::load: churn queue entry 6 is out of range for the "
+            "header's jobs (6)");
+  std::string parallel = corpus::read_rejected(
+      "checkpoint_parallel_order_out_of_range.ckpt");
+  parallel.replace(parallel.find("2 1 4000000000"), 14, "2 1 0");
+  EXPECT_EQ(load_error(parallel), "(loaded)");
 }
 
 TEST(Checkpoint, MakeScheduleRejectsShapeMismatch) {

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "rejected_corpus.hpp"
 #include "stats/json.hpp"
 
 namespace dlb::cli {
@@ -454,6 +455,50 @@ TEST(Commands, ServeRejectsBadArrivalSpecs) {
   const auto bad_placement = run({"serve", "--in", path, "--arrivals",
                                   "poisson:0.1", "--placement", "best_fit"});
   EXPECT_EQ(bad_placement.code, 2);
+}
+
+TEST(Commands, ResumeRejectsDeadGeneratorCheckpoints) {
+  // Shrunk reproducers: each checkpoint holds the all-zero xoshiro state,
+  // a fixed point that never draws again, and resuming it hung.
+  const std::string base = corpus::rejected_path("resume_base.inst");
+  const auto balance =
+      run({"balance", "--in", base, "--seed", "7",
+           "--exchanges-per-machine", "6", "--resume",
+           corpus::rejected_path("checkpoint_seq_rng_all_zero.ckpt")});
+  const std::string dead = "Rng::from_state: all-zero state (a dead generator)";
+  EXPECT_EQ(balance.code, 2);
+  EXPECT_NE(balance.err.find(dead), std::string::npos) << balance.err;
+  for (const std::string key : {"place_rng", "repair_rng"}) {
+    const auto serve =
+        run({"serve", "--in", base, "--arrivals", "poisson:0.01",
+             "--num-arrivals", "6", "--repair-every", "1", "--resume",
+             corpus::rejected_path("open_checkpoint_" + key +
+                                   "_all_zero.ckpt")});
+    EXPECT_EQ(serve.code, 2) << key;
+    EXPECT_NE(serve.err.find(dead), std::string::npos) << serve.err;
+  }
+}
+
+TEST(Commands, EmptyInstanceReportsFactorOne) {
+  // No jobs means LB = 0; the empty schedule is optimal, so the reports
+  // print factor 1 rather than 0/0.
+  const std::string path = temp_path("cli_empty.inst");
+  {
+    std::ofstream out(path);
+    out << "dlb-instance v1\nmachines 2 groups 1 jobs 0\ngroup_of 0 0\n"
+           "scales 1 1\ncosts\n\n";
+  }
+  const auto solve = run({"solve", "--in", path});
+  ASSERT_EQ(solve.code, 0) << solve.err;
+  EXPECT_NE(solve.out.find("factor    : 1\n"), std::string::npos)
+      << solve.out;
+  for (const std::string command : {"balance", "simulate"}) {
+    const auto report = run({command, "--in", path, "--alg", "basic-greedy"});
+    ASSERT_EQ(report.code, 0) << report.err;
+    EXPECT_NE(report.out.find("final factor    : 1\n"), std::string::npos)
+        << report.out;
+    EXPECT_EQ(report.out.find("nan"), std::string::npos) << report.out;
+  }
 }
 
 }  // namespace

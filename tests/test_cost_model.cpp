@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -188,6 +191,26 @@ TEST(RiskViews, AdjustedInstanceScalesCostsByTheRiskFactor) {
   }
 }
 
+TEST(RiskViews, AdjustedInstanceNamesASurrogateThatOverflows) {
+  // The base costs' per-job maxima sum to 1.5e308, which is finite, but a
+  // q95 factor above 1.2 pushes the surrogate's sum past DBL_MAX.
+  Instance instance = Instance::identical(2, {5e307, 5e307, 5e307});
+  instance.set_cost_model(CostModel(std::vector<Dist>(
+      instance.num_jobs(), parse_dist("normal:0.2"))));
+  try {
+    (void)risk_adjusted_instance(instance, RiskMode::kQuantile,
+                                 kRiskQuantile);
+    ADD_FAILURE() << "the overflowing surrogate was built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(
+                  "risk_adjusted_instance: the risk-scaled surrogate is "
+                  "invalid: Instance: costs: the jobs' largest costs sum past",
+                  0),
+              0u)
+        << e.what();
+  }
+}
+
 TEST(RiskViews, EffectiveLoadIsBitwiseLoadWhenDegenerate) {
   Instance instance = gen::uniform_unrelated(3, 8, 1.0, 100.0, 11);
   instance.set_cost_model(
@@ -227,6 +250,62 @@ TEST(RiskViews, RiskAggregatesAreMoveHistoryIndependent) {
   for (MachineId i = 0; i < instance.num_machines(); ++i) {
     EXPECT_EQ(load_variance(direct, i), load_variance(detour, i));  // Bitwise.
     EXPECT_DOUBLE_EQ(effective_load(direct, i), effective_load(detour, i));
+  }
+}
+
+TEST(RiskViews, PerMachineSumsMatchAFullJobScanBitwise) {
+  // The per-machine risk sums read only the scored machine's residents;
+  // the reference below scans every job id and keeps those on machine i,
+  // the same ascending-id order, so every sum must agree to the bit.
+  Instance instance = gen::uniform_unrelated(7, 90, 1.0, 40.0, 41);
+  const std::vector<std::string> specs = {"normal:0.3", "lognormal:0.5",
+                                          "pareto:2,0.5,6", "det:1",
+                                          "det:1.25"};
+  std::vector<Dist> dists;
+  for (JobId j = 0; j < instance.num_jobs(); ++j) {
+    dists.push_back(parse_dist(specs[(j * 7) % specs.size()]));
+  }
+  instance.set_cost_model(CostModel(dists));
+  const CostModel& model = instance.cost_model();
+  Schedule schedule(instance, gen::random_assignment(instance, 42));
+
+  const auto scan_variance = [&](MachineId i) {
+    double variance = 0.0;
+    for (JobId j = 0; j < schedule.num_jobs(); ++j) {
+      if (schedule.machine_of(j) != i) continue;
+      const double p = instance.cost(i, j);
+      variance += p * p * dist_variance(model.dist(j));
+    }
+    return variance;
+  };
+  const auto scan_effective = [&](MachineId i) {
+    double margin = 0.0;
+    for (JobId j = 0; j < schedule.num_jobs(); ++j) {
+      if (schedule.machine_of(j) != i) continue;
+      margin += instance.cost(i, j) * (effective_factor(model.dist(j)) - 1.0);
+    }
+    return schedule.load(i) + margin;
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  stats::Rng rng(43);
+  for (int batch = 0; batch < 40; ++batch) {
+    for (int step = 0; step < 25; ++step) {
+      schedule.move(static_cast<JobId>(rng.below(instance.num_jobs())),
+                    static_cast<MachineId>(rng.below(7)));
+    }
+    double worst = 0.0;
+    for (MachineId i = 0; i < instance.num_machines(); ++i) {
+      ASSERT_EQ(bits(load_variance(schedule, i)), bits(scan_variance(i)))
+          << "batch " << batch << " machine " << i;
+      ASSERT_EQ(bits(effective_load(schedule, i)), bits(scan_effective(i)))
+          << "batch " << batch << " machine " << i;
+      const double q95 = schedule.load(i) + inverse_normal_cdf(0.95) *
+                                                std::sqrt(scan_variance(i));
+      worst = std::max(worst, q95);
+    }
+    ASSERT_EQ(bits(quantile_makespan(schedule, 0.95)), bits(worst))
+        << "batch " << batch;
   }
 }
 

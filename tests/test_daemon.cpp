@@ -179,5 +179,28 @@ TEST(Daemon, CommandsAfterShutdownAreRefused) {
   (void)pair.b->execute("shutdown");
 }
 
+TEST(Daemon, CheckpointThenResumeRoundTrips) {
+  const Instance instance =
+      gen::two_cluster_uniform(2, 2, 32, 1.0, 100.0, 12);
+  const dist::Dlb2cKernel kernel;
+  Pair pair = converged_pair(instance, "ckpt", kernel, /*trace=*/false);
+
+  // The daemon's checkpoint never drew from a generator, so its rng row is
+  // whatever it writes; resume must accept the file it wrote itself.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("dlb_dmn_ckpt_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  const std::uint64_t before = pair.a->runner().replica().fingerprint();
+  EXPECT_EQ(pair.a->execute("checkpoint " + path), "wrote " + path + "\nok\n");
+  EXPECT_EQ(pair.a->execute("resume " + path),
+            "restored " + path + "\nok\n");
+  EXPECT_EQ(pair.a->runner().replica().fingerprint(), before);
+  std::filesystem::remove(path);
+
+  (void)pair.a->execute("shutdown");
+  (void)pair.b->execute("shutdown");
+}
+
 }  // namespace
 }  // namespace dlb::daemon

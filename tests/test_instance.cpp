@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+
+#include "core/instance_store.hpp"
+#include "rejected_corpus.hpp"
 
 namespace dlb {
 namespace {
@@ -66,6 +70,28 @@ TEST(Instance, RejectsEmptyShapes) {
                std::invalid_argument);
   EXPECT_THROW(Instance::related({}, {1.0}), std::invalid_argument);
   EXPECT_THROW(Instance::related({0.0}, {1.0}), std::invalid_argument);
+}
+
+TEST(Instance, RejectsCostsWhoseJobMaximaSumPastDoubleMax) {
+  // Shrunk reproducer: three jobs of cost 1e308 loaded, then `dlbsim
+  // solve` printed "makespan : inf" and "factor : -nan".
+  const std::string file = corpus::rejected_path("cost_sum_overflow.inst");
+  const std::string expected =
+      "Instance: costs: the jobs' largest costs sum past the largest finite "
+      "double, so a machine load could overflow";
+  try {
+    (void)core::load_instance(file);
+    ADD_FAILURE() << "loaded " << file;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+  // num_jobs * max_cost overflowing alone is not enough: the exact sum of
+  // the per-job maxima decides, scaled costs included.
+  const Instance fine = Instance::identical(2, {1e308, 1.0, 1.0});
+  EXPECT_EQ(fine.max_cost(), 1e308);
+  EXPECT_THROW((void)Instance::related({0.5, 1.0}, {1e308, 1.0}),
+               std::invalid_argument);
 }
 
 TEST(Instance, MaxCostAccountsForScales) {

@@ -27,6 +27,7 @@
 #include "obs/obs.hpp"
 #include "pairwise/kernel_registry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "rejected_corpus.hpp"
 #include "stats/rng.hpp"
 
 namespace dlb::dist {
@@ -614,6 +615,21 @@ TEST(OpenCheckpoint, LoadRejectsCorruptHeaders) {
                      "jobs 4611686018427387904");
   EXPECT_EQ(load_error(huge_shape),
             "OpenCheckpoint::load: bad assignment entry \"loads\"");
+
+  // Shrunk reproducer: it crashed `dlbsim serve --resume` before ids were
+  // bounded by the header.
+  EXPECT_EQ(load_error(corpus::read_rejected(
+                "open_checkpoint_in_service_out_of_range.ckpt")),
+            "OpenCheckpoint::load: in_service entry 3000000000 is out of range "
+            "for the header's jobs (6)");
+  std::string off_machine = corpus::read_rejected(
+      "open_checkpoint_in_service_out_of_range.ckpt");
+  off_machine.replace(off_machine.find("1 - 3000000000"), 14, "1 - 2");
+  EXPECT_EQ(load_error(off_machine), "(loaded)");
+  off_machine.replace(off_machine.find("- - - - - -"), 11, "- 3 - - - -");
+  EXPECT_EQ(load_error(off_machine),
+            "OpenCheckpoint::load: assignment entry 3 is out of range for "
+            "the header's machines (3)");
 }
 
 TEST(ArrivalPlan, LoadRejectsHugeTraceCount) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 namespace dlb::stats {
@@ -16,6 +17,15 @@ TEST(Rng, SameSeedSameSequence) {
   for (int i = 0; i < 1000; ++i) {
     ASSERT_EQ(a(), b());
   }
+}
+
+TEST(Rng, FromStateContinuesTheSequenceAndRejectsTheDeadState) {
+  Rng a(42);
+  (void)a();
+  Rng b = Rng::from_state(a.state());
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(a(), b());
+  // All-zero is xoshiro's fixed point: every draw would be zero forever.
+  EXPECT_THROW((void)Rng::from_state(Rng::State{}), std::invalid_argument);
 }
 
 TEST(Rng, DifferentSeedsDiffer) {
