@@ -1,7 +1,5 @@
 #include "cli/args.hpp"
 
-#include <stdexcept>
-
 namespace dlb::cli {
 
 namespace {
@@ -21,7 +19,7 @@ Args Args::parse(const std::vector<std::string>& tokens) {
       continue;
     }
     const std::string key = token.substr(2);
-    if (key.empty()) throw std::invalid_argument("empty option name");
+    if (key.empty()) throw UsageError("empty option name");
     if (t + 1 < tokens.size() && !is_option(tokens[t + 1])) {
       args.options_[key] = tokens[++t];
     } else {
@@ -53,7 +51,7 @@ std::string Args::get(const std::string& key,
 std::string Args::require(const std::string& key) const {
   const auto it = options_.find(key);
   if (it == options_.end() || it->second.empty()) {
-    throw std::invalid_argument("missing required option --" + key);
+    throw UsageError("missing required option --" + key);
   }
   touched_[key] = true;
   return it->second;
@@ -70,9 +68,8 @@ std::int64_t Args::get_int(const std::string& key,
     if (consumed != it->second.size()) throw std::invalid_argument("trail");
     return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key +
-                                " expects an integer, got '" + it->second +
-                                "'");
+    throw UsageError("option --" + key + " expects an integer, got '" +
+                     it->second + "'");
   }
 }
 
@@ -86,8 +83,8 @@ double Args::get_double(const std::string& key, double fallback) const {
     if (consumed != it->second.size()) throw std::invalid_argument("trail");
     return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key +
-                                " expects a number, got '" + it->second + "'");
+    throw UsageError("option --" + key + " expects a number, got '" +
+                     it->second + "'");
   }
 }
 
@@ -96,7 +93,7 @@ std::uint64_t Args::get_seed(const std::string& key,
   const std::int64_t value =
       get_int(key, static_cast<std::int64_t>(fallback));
   if (value < 0) {
-    throw std::invalid_argument("option --" + key + " must be >= 0");
+    throw UsageError("option --" + key + " must be >= 0");
   }
   return static_cast<std::uint64_t>(value);
 }

@@ -7,10 +7,19 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace dlb::cli {
+
+/// A malformed command line: an unknown or malformed option, or a value
+/// the command cannot use. dlbsim answers it with exit 2 and the usage
+/// page; any other error is a runtime failure (exit 1, one line).
+class UsageError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Args {
  public:
@@ -25,7 +34,7 @@ class Args {
 
   [[nodiscard]] bool has(const std::string& key) const;
 
-  /// Typed getters; throw std::invalid_argument on malformed values.
+  /// Typed getters; throw UsageError on malformed values.
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
@@ -35,7 +44,7 @@ class Args {
   [[nodiscard]] std::uint64_t get_seed(const std::string& key,
                                        std::uint64_t fallback) const;
 
-  /// Required variants: throw std::invalid_argument when missing.
+  /// Required variants: throw UsageError when missing.
   [[nodiscard]] std::string require(const std::string& key) const;
 
   /// Keys that were provided but never queried — used to reject typos.

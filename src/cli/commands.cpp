@@ -9,6 +9,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "centralized/clb2c.hpp"
 #include "centralized/ect.hpp"
@@ -58,17 +59,30 @@ double report_factor(Cost makespan, Cost lb) {
   return lb > 0.0 ? makespan / lb : 1.0;
 }
 
-int check_unused(const Args& args, std::ostream& err) {
+/// Runs a library parser on an option's value. Its validation error names
+/// a bad value the user typed, so it surfaces as a UsageError.
+template <typename Parse>
+auto parse_option(const char* option, Parse parse) {
+  try {
+    return parse();
+  } catch (const UsageError&) {
+    throw;
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(std::string(option) + ": " + e.what());
+  }
+}
+
+void check_unused(const Args& args) {
   const auto unused = args.unused();
-  if (unused.empty()) return 0;
+  if (unused.empty()) return;
   std::string message = "unknown option(s):";
   for (const auto& key : unused) message += " --" + key;
-  return usage_error(err, message);
+  throw UsageError(message);
 }
 
 // ----- gen -----
 
-int cmd_gen(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_gen(const Args& args, std::ostream& out) {
   const std::string kind = args.get("kind", "two-cluster");
   const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 768));
   const Cost lo = args.get_double("lo", 1.0);
@@ -111,19 +125,18 @@ int cmd_gen(const Args& args, std::ostream& out, std::ostream& err) {
           if (value <= 0) throw std::invalid_argument("nonpositive");
           sizes.push_back(static_cast<std::size_t>(value));
         } catch (const std::exception&) {
-          throw std::invalid_argument("--sizes expects a comma-separated "
-                                      "list of positive integers");
+          throw UsageError("--sizes expects a comma-separated list of "
+                           "positive integers");
         }
         if (comma == std::string::npos) break;
         begin = comma + 1;
       }
       return gen::multi_cluster_uniform(sizes, jobs, lo, hi, seed);
     }
-    throw std::invalid_argument(
-        "unknown --kind '" + kind +
-        "' (two-cluster|identical|unrelated|typed|multi)");
+    throw UsageError("unknown --kind '" + kind +
+                     "' (two-cluster|identical|unrelated|typed|multi)");
   }();
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
 
   // Extension picks the format: `.dlbi` writes the mmap-able binary,
   // anything else the text format.
@@ -136,11 +149,11 @@ int cmd_gen(const Args& args, std::ostream& out, std::ostream& err) {
 
 // ----- convert -----
 
-int cmd_convert(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_convert(const Args& args, std::ostream& out) {
   const std::string in_path = args.require("in");
   const std::string out_path = args.require("out");
   const std::string to = args.get("to", "auto");
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
 
   const core::InstanceStore store = core::load_instance(in_path);
   const Instance& instance = store.instance();
@@ -155,8 +168,7 @@ int cmd_convert(const Args& args, std::ostream& out, std::ostream& err) {
     core::save_dlbi(instance, out_path);
     binary = true;
   } else {
-    throw std::invalid_argument("--to expects auto|text|binary, got '" + to +
-                                "'");
+    throw UsageError("--to expects auto|text|binary, got '" + to + "'");
   }
   out << "wrote " << out_path << " (" << (binary ? "binary" : "text")
       << "): " << instance.num_machines() << " machines ("
@@ -167,9 +179,9 @@ int cmd_convert(const Args& args, std::ostream& out, std::ostream& err) {
 
 // ----- info -----
 
-int cmd_info(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_info(const Args& args, std::ostream& out) {
   const std::string path = args.require("in");
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
   const core::InstanceStore store = core::load_instance(path);
   const Instance& instance = store.instance();
   out << "machines      : " << instance.num_machines() << "\n"
@@ -190,10 +202,10 @@ int cmd_info(const Args& args, std::ostream& out, std::ostream& err) {
 
 // ----- solve -----
 
-int cmd_solve(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_solve(const Args& args, std::ostream& out) {
   const std::string path = args.require("in");
   const std::string alg = args.get("alg", "ect");
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
   const core::InstanceStore store = core::load_instance(path);
   const Instance& instance = store.instance();
 
@@ -215,9 +227,7 @@ int cmd_solve(const Args& args, std::ostream& out, std::ostream& err) {
        }},
   };
   const auto it = algorithms.find(alg);
-  if (it == algorithms.end()) {
-    return usage_error(err, "unknown --alg '" + alg + "'");
-  }
+  if (it == algorithms.end()) throw UsageError("unknown --alg '" + alg + "'");
   const Schedule schedule = it->second();
   validate_complete(schedule);
   const Cost lb = makespan_lower_bound(instance);
@@ -311,18 +321,28 @@ std::string row_detail(const dist::EpochTracePoint& point) {
 const pairwise::PairKernel& kernel_by_alg(const std::string& alg) {
   const pairwise::KernelRegistry& registry = pairwise::kernel_registry();
   if (!registry.contains(alg)) {
-    throw std::invalid_argument("unknown --alg '" + alg + "' (" +
-                                registry.names_joined() + ")");
+    throw UsageError("unknown --alg '" + alg + "' (" +
+                     registry.names_joined() + ")");
   }
   return registry.get(alg);
+}
+
+/// The typed kernels (mjtb and its risk variants) balance per job type, so
+/// pairing one with an instance that declares no types is a bad --alg.
+void check_alg_fits(const pairwise::PairKernel& kernel,
+                    const std::string& alg, const Instance& instance) {
+  if (std::string_view(kernel.name()).starts_with("typed-greedy") &&
+      !instance.has_job_types()) {
+    throw UsageError("--alg " + alg + " needs an instance with job types");
+  }
 }
 
 /// Resolves --peer against the shared selector registry.
 const dist::PeerSelector& selector_by_name(const std::string& name) {
   const dist::SelectorRegistry& registry = dist::selector_registry();
   if (!registry.contains(name)) {
-    throw std::invalid_argument("unknown --peer '" + name + "' (" +
-                                registry.names_joined() + ")");
+    throw UsageError("unknown --peer '" + name + "' (" +
+                     registry.names_joined() + ")");
   }
   return registry.get(name);
 }
@@ -345,33 +365,27 @@ int cmd_balance(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string checkpoint_path = args.get("checkpoint", "");
   const std::string resume_path = args.get("resume", "");
   ObsFiles obs_files(args, "trace-json", "metrics-json");
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
   if (engine_kind != "seq" && engine_kind != "parallel") {
-    throw std::invalid_argument("unknown --engine '" + engine_kind +
-                                "' (seq|parallel)");
+    throw UsageError("unknown --engine '" + engine_kind + "' (seq|parallel)");
   }
   if (checkpoint_every != 0 && checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "--checkpoint-every needs --checkpoint FILE to write to");
+    throw UsageError("--checkpoint-every needs --checkpoint FILE to write to");
   }
 
   const pairwise::PairKernel& kernel = kernel_by_alg(alg);
   const dist::PeerSelector& selector = selector_by_name(peer);
   core::InstanceStore store = core::load_instance(path);
   Instance& instance = store.mutable_instance();
+  check_alg_fits(kernel, alg, instance);
   // --cost-model SPEC attaches one size distribution to every job (the
   // instance file's own `costmodel` line, if any, is replaced). The risk
   // kernels (--alg *_q95 / *_effsize) and selectors read it; with a
   // degenerate spec (det:V, sigma 0, ...) every engine's output is
   // byte-identical to a run without it.
   if (!cost_model_spec.empty()) {
-    const cost::Dist dist = [&] {
-      try {
-        return cost::parse_dist(cost_model_spec);
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(std::string("--cost-model: ") + e.what());
-      }
-    }();
+    const cost::Dist dist = parse_option(
+        "--cost-model", [&] { return cost::parse_dist(cost_model_spec); });
     instance.set_cost_model(cost::CostModel(
         std::vector<cost::Dist>(instance.num_jobs(), dist)));
   }
@@ -519,8 +533,8 @@ dist::ArrivalPlan arrivals_from_spec(const std::string& spec,
         consumed = 0;
       }
       if (consumed != part.size() || part.empty()) {
-        throw std::invalid_argument("--arrivals: bad number '" + part +
-                                    "' in '" + spec + "'");
+        throw UsageError("--arrivals: bad number '" + part + "' in '" +
+                         spec + "'");
       }
       values.push_back(value);
       if (end == text.size()) break;
@@ -534,15 +548,15 @@ dist::ArrivalPlan arrivals_from_spec(const std::string& spec,
   if (colon != std::string::npos && kind == "poisson") {
     const std::vector<double> v = parse_doubles(spec.substr(colon + 1), ',');
     if (v.size() != 1) {
-      throw std::invalid_argument("--arrivals: poisson wants one rate, got '" +
-                                  spec + "'");
+      throw UsageError("--arrivals: poisson wants one rate, got '" + spec +
+                       "'");
     }
     return dist::ArrivalPlan::poisson(v[0], seed);
   }
   if (colon != std::string::npos && kind == "bursty") {
     const std::vector<double> v = parse_doubles(spec.substr(colon + 1), ',');
     if (v.size() != 4) {
-      throw std::invalid_argument(
+      throw UsageError(
           "--arrivals: bursty wants rate,off_rate,on_duration,off_duration, "
           "got '" +
           spec + "'");
@@ -553,14 +567,14 @@ dist::ArrivalPlan arrivals_from_spec(const std::string& spec,
     const std::string body = spec.substr(colon + 1);
     const auto at = body.find('@');
     if (at == std::string::npos) {
-      throw std::invalid_argument(
+      throw UsageError(
           "--arrivals: diurnal wants R1,R2,...@BIN_DURATION, got '" + spec +
           "'");
     }
     std::vector<double> trace = parse_doubles(body.substr(0, at), ',');
     const std::vector<double> bin = parse_doubles(body.substr(at + 1), ',');
     if (bin.size() != 1) {
-      throw std::invalid_argument(
+      throw UsageError(
           "--arrivals: diurnal wants one bin duration after '@' in '" + spec +
           "'");
     }
@@ -596,32 +610,33 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string checkpoint_path = args.get("checkpoint", "");
   const std::string resume_path = args.get("resume", "");
   ObsFiles obs_files(args, "trace-json", "metrics-json");
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
   if (repair_engine != "seq" && repair_engine != "parallel") {
-    throw std::invalid_argument("unknown --repair-engine '" + repair_engine +
-                                "' (seq|parallel)");
+    throw UsageError("unknown --repair-engine '" + repair_engine +
+                     "' (seq|parallel)");
   }
   if ((checkpoint_every != 0 || halt_after != 0) && checkpoint_path.empty()) {
-    throw std::invalid_argument(
+    throw UsageError(
         "--checkpoint-every-events / --halt-after-events need "
         "--checkpoint FILE to write to");
   }
 
-  const dist::ArrivalPlan plan = arrivals_from_spec(arrivals_spec, seed);
+  const dist::ArrivalPlan plan = parse_option(
+      "--arrivals", [&] { return arrivals_from_spec(arrivals_spec, seed); });
   if (plan.trivial()) {
-    throw std::invalid_argument(
+    throw UsageError(
         "--arrivals: the plan has no arrivals (closed runs are `dlbsim "
         "balance`)");
   }
-  const std::unique_ptr<dist::PlacementPolicy> placement =
-      dist::make_placement(placement_spec);
+  const std::unique_ptr<dist::PlacementPolicy> placement = parse_option(
+      "--placement", [&] { return dist::make_placement(placement_spec); });
   const pairwise::PairKernel& kernel = kernel_by_alg(alg);
   const dist::PeerSelector& selector = selector_by_name(peer);
   const core::InstanceStore store = core::load_instance(path);
   const Instance& instance = store.instance();
+  check_alg_fits(kernel, alg, instance);
   if (realize_service && !instance.has_cost_model()) {
-    throw std::invalid_argument(
-        "--realize-service needs an instance with a cost model");
+    throw UsageError("--realize-service needs an instance with a cost model");
   }
 
   std::optional<dist::OpenCheckpoint> resume_from;
@@ -717,13 +732,14 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   options.seed = seed;
   options.record_trace = !trace_path.empty();
   if (obs_files.enabled()) options.obs = &obs_files.context;
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
 
   const core::InstanceStore store = core::load_instance(path);
   const Instance& instance = store.instance();
   Schedule schedule(instance, gen::random_assignment(instance, seed));
 
   const pairwise::PairKernel& kernel = kernel_by_alg(alg);
+  check_alg_fits(kernel, alg, instance);
 
   const dist::AsyncRunResult result =
       dist::run_async(schedule, kernel, options);
@@ -783,11 +799,12 @@ int cmd_transport(const Args& args, std::ostream& out, std::ostream& err) {
   const double fault_p = args.get_double("fault-p", 0.1);
   const std::uint64_t fault_seed = args.get_seed("fault-seed", seed + 1);
   ObsFiles obs_files(args, "trace-json", "metrics-json");
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
 
   const pairwise::PairKernel& kernel = kernel_by_alg(alg);
   const core::InstanceStore store = core::load_instance(path);
   const Instance& instance = store.instance();
+  check_alg_fits(kernel, alg, instance);
   Schedule replica(instance, gen::random_assignment(instance, seed));
 
   des::Engine engine;
@@ -849,7 +866,7 @@ int cmd_transport(const Args& args, std::ostream& out, std::ostream& err) {
 
 stats::Json load_json_file(const std::string& path) {
   std::ifstream file(path);
-  if (!file) throw std::invalid_argument("cannot read " + path);
+  if (!file) throw std::runtime_error("cannot read " + path);
   std::ostringstream text;
   text << file.rdbuf();
   return stats::Json::parse(text.str());
@@ -886,9 +903,9 @@ int cmd_trace_merge(const Args& args, std::ostream& out, std::ostream& err) {
   const std::vector<std::string> paths =
       split_comma_list(args.require("in"));
   const std::string out_path = args.get("out", "");
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
   if (paths.empty()) {
-    throw std::invalid_argument("--in needs at least one trace file");
+    throw UsageError("--in needs at least one trace file");
   }
 
   std::vector<obs::ProcessTrace> processes;
@@ -933,9 +950,9 @@ int cmd_metrics_merge(const Args& args, std::ostream& out,
   const std::string out_path = args.get("out", "");
   const std::string stable_path = args.get("stable-out", "");
   const std::string prom_path = args.get("prom", "");
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
   if (paths.empty()) {
-    throw std::invalid_argument("--in needs at least one snapshot file");
+    throw UsageError("--in needs at least one snapshot file");
   }
 
   std::vector<stats::Json> snapshots;
@@ -973,7 +990,7 @@ int cmd_metrics_merge(const Args& args, std::ostream& out,
 
 /// dlb_top-style console rendering of a flight-recorder dump: the
 /// convergence series as an ASCII plot plus the latest sample's numbers.
-int cmd_flight(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_flight(const Args& args, std::ostream& out) {
   const std::string path = args.require("in");
   const std::string series_name = args.get("series", "cmax");
   stats::LinePlotOptions plot;
@@ -982,7 +999,7 @@ int cmd_flight(const Args& args, std::ostream& out, std::ostream& err) {
   plot.height = static_cast<std::size_t>(
       args.get_int("height", static_cast<std::int64_t>(plot.height)));
   plot.axis_precision = 2;
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
 
   const std::vector<obs::FlightSample> samples =
       obs::FlightRecorder::samples_from_json(load_json_file(path));
@@ -1009,7 +1026,7 @@ int cmd_flight(const Args& args, std::ostream& out, std::ostream& err) {
     } else if (series_name == "retries") {
       series.push_back(static_cast<double>(sample.retries));
     } else {
-      throw std::invalid_argument(
+      throw UsageError(
           "unknown --series '" + series_name +
           "' (cmax|imbalance|migrations|exchanges|queue-max|frames|"
           "retries)");
@@ -1031,10 +1048,10 @@ int cmd_flight(const Args& args, std::ostream& out, std::ostream& err) {
 
 // ----- markov -----
 
-int cmd_markov(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_markov(const Args& args, std::ostream& out) {
   const auto m = static_cast<int>(args.get_int("m", 6));
   const auto p_max = static_cast<markov::Load>(args.get_int("pmax", 4));
-  if (const int rc = check_unused(args, err)) return rc;
+  check_unused(args);
 
   const auto analysis = markov::analyze_steady_state(m, p_max);
   out << "m=" << m << " pmax=" << p_max << " total=" << analysis.total
@@ -1125,10 +1142,10 @@ int run_command(const std::vector<std::string>& argv, std::ostream& out,
   const Args args =
       Args::parse(std::vector<std::string>(argv.begin() + 1, argv.end()));
   try {
-    if (command == "gen") return cmd_gen(args, out, err);
-    if (command == "convert") return cmd_convert(args, out, err);
-    if (command == "info") return cmd_info(args, out, err);
-    if (command == "solve") return cmd_solve(args, out, err);
+    if (command == "gen") return cmd_gen(args, out);
+    if (command == "convert") return cmd_convert(args, out);
+    if (command == "info") return cmd_info(args, out);
+    if (command == "solve") return cmd_solve(args, out);
     if (command == "balance") return cmd_balance(args, out, err);
     if (command == "serve") return cmd_serve(args, out, err);
     if (command == "simulate") return cmd_simulate(args, out, err);
@@ -1137,14 +1154,14 @@ int run_command(const std::vector<std::string>& argv, std::ostream& out,
     if (command == "metrics-merge") {
       return cmd_metrics_merge(args, out, err);
     }
-    if (command == "flight") return cmd_flight(args, out, err);
-    if (command == "markov") return cmd_markov(args, out, err);
+    if (command == "flight") return cmd_flight(args, out);
+    if (command == "markov") return cmd_markov(args, out);
     if (command == "help") {
       out << usage();
       return 0;
     }
     return usage_error(err, "unknown command '" + command + "'");
-  } catch (const std::invalid_argument& e) {
+  } catch (const UsageError& e) {
     return usage_error(err, e.what());
   } catch (const std::exception& e) {
     err << "dlbsim: " << e.what() << "\n";

@@ -19,7 +19,8 @@
 namespace dlb::cli {
 
 /// Dispatches `args[0]` as the sub-command. Returns 0 on success, 1 on a
-/// runtime failure, 2 on a usage error.
+/// runtime failure (one `dlbsim:` line), 2 on a UsageError (plus the usage
+/// page).
 int run_command(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err);
 

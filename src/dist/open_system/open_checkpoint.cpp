@@ -61,6 +61,17 @@ OpenCheckpoint OpenCheckpoint::load(std::istream& in) {
   ck.bursts = r.value<std::uint64_t>("bursts");
   ck.submitted = r.value<std::size_t>("submitted");
   ck.completed = r.value<std::size_t>("completed");
+  // Resume indexes the arrival stream by `submitted`: an out-of-order
+  // counter read past it or reported more completions than arrivals.
+  if (ck.completed > ck.submitted || ck.submitted > ck.total_arrivals ||
+      ck.total_arrivals > ck.num_jobs) {
+    r.fail("progress counters must satisfy completed <= submitted <= "
+           "total_arrivals <= jobs, got " +
+           std::to_string(ck.completed) + ", " +
+           std::to_string(ck.submitted) + ", " +
+           std::to_string(ck.total_arrivals) + ", " +
+           std::to_string(ck.num_jobs));
+  }
   ck.repair_exchanges = r.value<std::uint64_t>("repair_exchanges");
   ck.repair_migrations = r.value<std::uint64_t>("repair_migrations");
   ck.repair_changed = r.value<std::uint64_t>("repair_changed");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <ranges>
 #include <stdexcept>
 #include <string>
@@ -11,7 +12,6 @@
 #include "core/winner_tree.hpp"
 #include "dist/convergence.hpp"
 #include "dist/exchange_engine.hpp"
-#include "dist/open_system/job_pool.hpp"
 #include "dist/parallel_exchange_engine.hpp"
 #include "obs/metrics.hpp"
 
@@ -151,9 +151,12 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
   // Pure substreams (see SeedDomain).
   const std::uint64_t service_seed = sub_seed(seed, kServiceDomain);
   const std::uint64_t burst_seed = sub_seed(seed, kBurstDomain);
+  // Arrival k admits job order[k]: a seeded shuffle of the whole pool.
   const std::vector<double> arrivals = plan.arrival_times(total);
+  std::vector<JobId> order(n);
+  std::iota(order.begin(), order.end(), 0);
   stats::Rng shuffle_rng(sub_seed(seed, kShuffleDomain));
-  JobPool pool(n, shuffle_rng);
+  stats::shuffle(order.begin(), order.end(), shuffle_rng);
 
   // Mutable run state.
   stats::Rng place_rng(sub_seed(seed, kPlaceDomain));
@@ -209,10 +212,9 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
     busy_until = ck.busy_until;
     completion_time = ck.completion_time;
     queue_seen = ck.queue_seen;
-    pool.restore(submitted);
     // Arrival times of already-admitted jobs are pure data; replay them.
     for (std::size_t k = 0; k < submitted; ++k) {
-      arrival_time[pool.order()[k]] = arrivals[k];
+      arrival_time[order[k]] = arrivals[k];
     }
     for (MachineId i = 0; i < m; ++i) refresh(i);
   } else {
@@ -383,7 +385,7 @@ OpenRunReport OpenSystemEngine::run(Schedule& schedule,
         break;
       }
       case Kind::kArrival: {
-        const JobId j = pool.take();
+        const JobId j = order[submitted];
         arrival_time[j] = now;
         const MachineId target = placement.place(view, j, place_rng);
         queue_seen[j] = schedule.jobs_on(target).size() +

@@ -17,7 +17,7 @@
 //   sequential repair      persistent generator, checkpointed
 //   parallel repair        one derived seed per burst (pure in burst index)
 //   service realization    one uniform per job id (pure)
-//   arrival order + times  pure in the seed (JobPool shuffle, ArrivalPlan)
+//   arrival order + times  pure in the seed (seeded shuffle, ArrivalPlan)
 //
 // so the result — report JSON, metrics, trace — is bitwise identical at
 // any repair thread count and across any halt/resume split.

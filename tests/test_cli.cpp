@@ -457,6 +457,17 @@ TEST(Commands, ServeRejectsBadArrivalSpecs) {
   EXPECT_EQ(bad_placement.code, 2);
 }
 
+/// A runtime failure, not a usage error: exit 1 and one `dlbsim:` line
+/// that holds `what`, with no usage page.
+void expect_runtime_error(const CommandResult& result,
+                          const std::string& what) {
+  EXPECT_EQ(result.code, 1) << result.err;
+  EXPECT_EQ(result.err.rfind("dlbsim: ", 0), 0u) << result.err;
+  EXPECT_EQ(std::count(result.err.begin(), result.err.end(), '\n'), 1)
+      << result.err;
+  EXPECT_NE(result.err.find(what), std::string::npos) << result.err;
+}
+
 TEST(Commands, ResumeRejectsDeadGeneratorCheckpoints) {
   // Shrunk reproducers: each checkpoint holds the all-zero xoshiro state,
   // a fixed point that never draws again, and resuming it hung.
@@ -466,17 +477,46 @@ TEST(Commands, ResumeRejectsDeadGeneratorCheckpoints) {
            "--exchanges-per-machine", "6", "--resume",
            corpus::rejected_path("checkpoint_seq_rng_all_zero.ckpt")});
   const std::string dead = "Rng::from_state: all-zero state (a dead generator)";
-  EXPECT_EQ(balance.code, 2);
-  EXPECT_NE(balance.err.find(dead), std::string::npos) << balance.err;
+  expect_runtime_error(balance, dead);
   for (const std::string key : {"place_rng", "repair_rng"}) {
     const auto serve =
         run({"serve", "--in", base, "--arrivals", "poisson:0.01",
              "--num-arrivals", "6", "--repair-every", "1", "--resume",
              corpus::rejected_path("open_checkpoint_" + key +
                                    "_all_zero.ckpt")});
-    EXPECT_EQ(serve.code, 2) << key;
-    EXPECT_NE(serve.err.find(dead), std::string::npos) << serve.err;
+    SCOPED_TRACE(key);
+    expect_runtime_error(serve, dead);
   }
+}
+
+TEST(Commands, RuntimeErrorsAreNotUsageErrors) {
+  // A well-formed command line whose input the library refuses.
+  const auto overflow = run(
+      {"solve", "--in", corpus::rejected_path("cost_sum_overflow.inst")});
+  expect_runtime_error(overflow, "Instance: costs: the jobs' largest costs");
+
+  const std::string one_group = temp_path("cli_one_group.inst");
+  ASSERT_EQ(run({"gen", "--kind", "identical", "--m", "3", "--jobs", "6",
+                 "--out", one_group})
+                .code,
+            0);
+  const auto clb2c = run({"solve", "--in", one_group, "--alg", "clb2c"});
+  expect_runtime_error(clb2c, "clb2c_schedule: needs two populated clusters");
+
+  // A checkpoint taken under seed 1 resumed under seed 2.
+  const std::string base = corpus::rejected_path("resume_base.inst");
+  const std::string checkpoint = temp_path("cli_seed1.ckpt");
+  const std::vector<std::string> serve = {
+      "serve", "--in", base, "--arrivals", "poisson:1.0", "--num-arrivals",
+      "4"};
+  auto halt = serve;
+  halt.insert(halt.end(), {"--seed", "1", "--halt-after-events", "3",
+                           "--checkpoint", checkpoint});
+  ASSERT_EQ(run(halt).code, 0);
+  auto resume = serve;
+  resume.insert(resume.end(), {"--seed", "2", "--resume", checkpoint});
+  expect_runtime_error(run(resume),
+                       "checkpoint was taken under seed 1, run() got 2");
 }
 
 TEST(Commands, EmptyInstanceReportsFactorOne) {

@@ -69,16 +69,22 @@ TEST_P(Dlb2cTheorem7Sweep, StableStatesAre2Approximations) {
   // Theorem 7: IF DLB2C reaches a stable schedule, it is a 2-approximation
   // (given max p <= OPT). With several machines per cluster DLB2C rarely
   // reaches a strict fixed point (Proposition 8), so the sweep alternates
-  // 1+1 and 2+2 cluster shapes: the former always stabilises, the latter is
-  // allowed to skip.
+  // 1+1 and 2+2 cluster shapes: the former always stabilises, and a latter
+  // one that does not must be a certified Proposition 8 witness.
   const Instance inst =
       GetParam() % 2 == 0
           ? gen::two_cluster_uniform(1, 1, 10, 1.0, 6.0, GetParam())
           : gen::two_cluster_uniform(2, 2, 10, 1.0, 6.0, GetParam());
-  Schedule s(inst, gen::random_assignment(inst, GetParam() + 50));
+  const Assignment initial = gen::random_assignment(inst, GetParam() + 50);
+  Schedule s(inst, initial);
   const Dlb2cKernel kernel;
   if (!run_to_stability(s, kernel, 200)) {
-    GTEST_SKIP() << "instance did not stabilise (Proposition 8 allows this)";
+    // The whole reachable closure holds no stable state.
+    EXPECT_TRUE(explore_reachable(inst, initial, kernel, 400'000)
+                    .certified_nonconvergent())
+        << "no Proposition 8 certificate: the closure holds a stable state "
+           "or exceeds 400k states";
+    return;
   }
   const auto exact = centralized::solve_exact(inst);
   ASSERT_TRUE(exact.proven);

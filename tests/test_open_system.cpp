@@ -1,6 +1,6 @@
 // The open-system service workload, locked down end to end: ArrivalPlan
 // validation and byte-exact persistence, placement-policy parity with the
-// centralized baselines, JobPool's shared arrival bookkeeping, closed-mode
+// centralized baselines, the engine's pinned arrival order, closed-mode
 // delegation byte-identity (the zero-arrival oracle as a ctest), repair
 // thread-invariance at 1/4/8 workers, halt/checkpoint/resume equivalence
 // (report JSON + metrics snapshot + trace suffix), and the heap-vs-mapped
@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,8 +21,6 @@
 #include "check/case_gen.hpp"
 #include "core/generators.hpp"
 #include "core/instance_store.hpp"
-#include "dist/dynamic_workload.hpp"
-#include "dist/open_system/job_pool.hpp"
 #include "obs/obs.hpp"
 #include "pairwise/kernel_registry.hpp"
 #include "parallel/thread_pool.hpp"
@@ -181,74 +178,6 @@ TEST(Placement, MakePlacementParsesSpecsAndRejectsBadOnes) {
   EXPECT_THROW(TwoChoicesPlacement(0), std::invalid_argument);
 }
 
-// ----- JobPool (shared with run_dynamic) -----
-
-TEST(JobPool, ShuffleMatchesStatsShuffleByteForByte) {
-  stats::Rng pool_rng(5);
-  const JobPool pool(12, pool_rng);
-  std::vector<JobId> expected(12);
-  for (JobId j = 0; j < 12; ++j) expected[j] = j;
-  stats::Rng reference(5);
-  stats::shuffle(expected.begin(), expected.end(), reference);
-  EXPECT_EQ(pool.order(), expected);
-  // Both consumed the identical draw sequence.
-  EXPECT_EQ(pool_rng(), reference());
-}
-
-TEST(JobPool, ExhaustionAndRestoreAreGuarded) {
-  stats::Rng rng(1);
-  JobPool pool(2, rng);
-  (void)pool.take();
-  (void)pool.take();
-  EXPECT_TRUE(pool.exhausted());
-  try {
-    (void)pool.take();
-    FAIL() << "expected std::logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_STREQ(
-        e.what(),
-        "JobPool: exhausted after 2 jobs (demand_fits precondition "
-        "violated)");
-  }
-  try {
-    pool.restore(3);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(),
-                 "JobPool::restore: cursor 3 exceeds pool size 2");
-  }
-  pool.restore(1);
-  EXPECT_EQ(pool.remaining(), 1u);
-}
-
-TEST(JobPool, DemandFitsIsOverflowSafe) {
-  EXPECT_TRUE(JobPool::demand_fits(100, 10, 10, 9));
-  EXPECT_FALSE(JobPool::demand_fits(100, 10, 10, 10));
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  // epochs * per_epoch wraps; the historical raw product said "fits".
-  EXPECT_FALSE(JobPool::demand_fits(100, 1, kMax / 2, 3));
-  EXPECT_FALSE(JobPool::demand_fits(100, kMax, 1, 1));
-}
-
-TEST(DynamicWorkload, OverflowingDemandIsRejectedNotWrapped) {
-  const Instance instance = gen::two_cluster_uniform(2, 2, 64, 1.0, 10.0, 1);
-  const pairwise::PairKernel& kernel =
-      pairwise::kernel_registry().get("dlb2c");
-  DynamicOptions options;
-  options.initial_active = 16;
-  options.churn_per_epoch = 3;
-  options.epochs = std::numeric_limits<std::size_t>::max() / 2;
-  try {
-    (void)run_dynamic(instance, kernel, options);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(),
-                 "run_dynamic: invalid DynamicOptions.initial_active: job "
-                 "pool too small: initial_active + epochs * churn_per_epoch "
-                 "overflows size_t");
-  }
-}
-
 // ----- run outcomes as comparable bytes -----
 
 struct Outcome {
@@ -375,6 +304,43 @@ TEST(OpenSystemEngine, NumArrivalsCapsTheAdmittedJobs) {
   options.num_arrivals = 21;
   Schedule rejected(instance);
   EXPECT_THROW(engine.run(rejected, options, kSeed), std::invalid_argument);
+}
+
+/// Places every job on machine 0 and records the order it was asked in.
+class RecordingPlacement final : public PlacementPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "recording"; }
+  [[nodiscard]] MachineId place(const PlacementView& /*view*/, JobId job,
+                                stats::Rng& /*rng*/) const override {
+    order.push_back(job);
+    return 0;
+  }
+  mutable std::vector<JobId> order;
+};
+
+TEST(OpenSystemEngine, ArrivalOrderIsTheSeededShuffle) {
+  // Arrival k admits the k-th job of a seeded shuffle of the pool. The
+  // order is pinned: a shuffle that drew differently would move every
+  // open-system byte.
+  const Instance instance = gen::identical_uniform(3, 12, 1.0, 10.0, 4);
+  const ArrivalPlan plan = ArrivalPlan::poisson(0.5, 5);
+  const UniformPeerSelector selector;
+  const OpenSystemEngine engine(
+      pairwise::kernel_registry().get("basic-greedy"), selector);
+  const std::vector<JobId> expected = {1, 4, 6, 7, 10, 0, 2, 9, 11, 3, 8, 5};
+  for (const std::size_t arrivals : {std::size_t{0}, std::size_t{5}}) {
+    RecordingPlacement recording;
+    OpenSystemOptions options;
+    options.arrivals = &plan;
+    options.num_arrivals = arrivals;
+    options.placement = &recording;
+    Schedule schedule(instance);
+    (void)engine.run(schedule, options, kSeed);
+    const std::size_t admitted = arrivals == 0 ? expected.size() : arrivals;
+    EXPECT_EQ(recording.order,
+              std::vector<JobId>(expected.begin(),
+                                 expected.begin() + admitted));
+  }
 }
 
 TEST(OpenSystemEngine, OpenModeRequiresAnEmptySchedule) {
@@ -630,6 +596,55 @@ TEST(OpenCheckpoint, LoadRejectsCorruptHeaders) {
   EXPECT_EQ(load_error(off_machine),
             "OpenCheckpoint::load: assignment entry 3 is out of range for "
             "the header's machines (3)");
+
+  // Shrunk reproducers: resume read the arrival stream past its end, or
+  // reported more completions than arrivals.
+  const std::string progress =
+      "OpenCheckpoint::load: progress counters must satisfy completed <= "
+      "submitted <= total_arrivals <= jobs, got ";
+  EXPECT_EQ(load_error(corpus::read_rejected(
+                "open_checkpoint_submitted_past_arrivals.ckpt")),
+            progress + "0, 5, 4, 6");
+  const std::string completed_past = corpus::read_rejected(
+      "open_checkpoint_completed_past_submitted.ckpt");
+  EXPECT_EQ(load_error(completed_past), progress + "5, 3, 4, 6");
+  std::string arrivals_past = completed_past;
+  arrivals_past.replace(arrivals_past.find("completed 5"), 11, "completed 0");
+  EXPECT_EQ(load_error(arrivals_past), "(loaded)");
+  arrivals_past.replace(arrivals_past.find("total_arrivals 4"), 16,
+                        "total_arrivals 7");
+  EXPECT_EQ(load_error(arrivals_past), progress + "0, 3, 7, 6");
+}
+
+TEST(OpenCheckpoint, LoadRejectsProgressPastTheArrivals) {
+  // Resume takes the next arrival at index `submitted` of the pool's
+  // shuffle: a cursor at the end of a drawn stream (every job admitted)
+  // loads, and one step past the arrivals or the pool is refused.
+  const auto load_progress = [](std::size_t completed, std::size_t submitted,
+                                std::size_t total_arrivals) -> std::string {
+    OpenCheckpoint ck;
+    ck.num_machines = 2;
+    ck.num_jobs = 2;
+    ck.total_arrivals = total_arrivals;
+    ck.submitted = submitted;
+    ck.completed = completed;
+    std::stringstream saved;
+    ck.save(saved);
+    try {
+      (void)OpenCheckpoint::load(saved);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "(loaded)";
+  };
+  const std::string progress =
+      "OpenCheckpoint::load: progress counters must satisfy completed <= "
+      "submitted <= total_arrivals <= jobs, got ";
+  EXPECT_EQ(load_progress(2, 2, 2), "(loaded)");
+  EXPECT_EQ(load_progress(0, 1, 2), "(loaded)");
+  EXPECT_EQ(load_progress(0, 3, 2), progress + "0, 3, 2, 2");
+  EXPECT_EQ(load_progress(0, 2, 3), progress + "0, 2, 3, 2");
+  EXPECT_EQ(load_progress(2, 1, 2), progress + "2, 1, 2, 2");
 }
 
 TEST(ArrivalPlan, LoadRejectsHugeTraceCount) {

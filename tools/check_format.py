@@ -4,7 +4,9 @@
 Checks every C++ source/header plus the CMake/Python/Markdown files for the
 violations clang-format cannot fix or that survive it: tab indentation,
 trailing whitespace, CRLF line endings, a missing final newline, and C++
-lines over the 80-column limit from .clang-format. Exit 1 on any finding.
+lines over the 80-column limit from .clang-format. It also reports every
+GTEST_SKIP under tests/ outside SKIP_ALLOW_LIST, so a sweep whose cases
+skip instead of asserting cannot come back silently. Exit 1 on any finding.
 
 Usage: check_format.py [ROOT]   (default: the repository root)
 """
@@ -18,9 +20,14 @@ CXX_SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
 TEXT_SUFFIXES = CXX_SUFFIXES | {".py", ".txt", ".cmake", ".md", ".yml"}
 SOURCE_DIRS = ["src", "bench", "tests", "examples", "tools"]
 COLUMN_LIMIT = 80
+# Test files (relative to the root) allowed to call GTEST_SKIP, each with
+# the reason its skip checks nothing it could check instead.
+SKIP_ALLOW_LIST: dict[str, str] = {}
 
 
-def check_file(path: pathlib.Path, problems: list[str]) -> None:
+def check_file(
+    path: pathlib.Path, root: pathlib.Path, problems: list[str]
+) -> None:
     data = path.read_bytes()
     if not data:
         return
@@ -29,7 +36,15 @@ def check_file(path: pathlib.Path, problems: list[str]) -> None:
     if not data.endswith(b"\n"):
         problems.append(f"{path}: missing final newline")
     is_cxx = path.suffix in CXX_SUFFIXES
+    relative = path.relative_to(root).as_posix()
+    may_skip = (
+        not is_cxx
+        or not relative.startswith("tests/")
+        or relative in SKIP_ALLOW_LIST
+    )
     for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+        if not may_skip and "GTEST_SKIP" in line:
+            problems.append(f"{path}:{lineno}: GTEST_SKIP not on the allow-list")
         if line.rstrip() != line:
             problems.append(f"{path}:{lineno}: trailing whitespace")
         if is_cxx and line.startswith("\t"):
@@ -54,7 +69,7 @@ def main() -> int:
 
     problems: list[str] = []
     for path in files:
-        check_file(path, problems)
+        check_file(path, root, problems)
 
     if problems:
         for problem in problems:
